@@ -38,6 +38,17 @@ def _complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"bad complex number {text!r}") from None
 
 
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = float("nan")
+    if not (np.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be a finite positive number, got {text!r}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nhsym",
@@ -61,18 +72,16 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--kind", choices=symmetry.KINDS,
                     default=symmetry.LINEAR_ANTICOMMUTE,
                     help="relation kind for an expression --op")
-    pc.add_argument("--discover",
-                    choices=sorted(("chiral", "pseudo_chiral", "nhph",
-                                    "bosonic")),
+    pc.add_argument("--discover", choices=symmetry.DISCOVER_RELATIONS,
                     help="find all operators of this relation")
-    pc.add_argument("--tol", type=float, default=None,
+    pc.add_argument("--tol", type=_tolerance, default=None,
                     help="pass threshold (default 1e-10; discovery 1e-9)")
 
     ps = sub.add_parser("sweep", help="run a figure protocol")
     ps.add_argument("--fig", choices=FIG_TAGS, required=True)
     ps.add_argument("--steps", type=int, default=400)
     ps.add_argument("--out", default=".", help="output directory")
-    ps.add_argument("--tol", type=float, default=spectra.CLASSIFY_TOL,
+    ps.add_argument("--tol", type=_tolerance, default=spectra.CLASSIFY_TOL,
                     help="spectrum classification tolerance")
 
     pe = sub.add_parser("ep", help="locate an exceptional point")
@@ -85,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar=("LO", "HI"))
     pe.add_argument("--target", type=_complex, default=0j,
                     help="coalescence point in the eigenvalue plane")
-    pe.add_argument("--tol", type=float, default=1e-3,
+    pe.add_argument("--tol", type=_tolerance, default=1e-3,
                     help="spread below which the point counts as found")
     return parser
 

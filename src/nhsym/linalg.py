@@ -132,8 +132,8 @@ def nullspace(M, tol: float = 1e-8) -> np.ndarray:
     M : array_like
         Any 2-d complex matrix (square or rectangular).
     tol : float
-        Relative threshold: directions whose singular value is at most
-        ``tol * sigma_max`` count as null.
+        Relative threshold, finite and positive: directions whose singular
+        value is at most ``tol * sigma_max`` count as null.
 
     Returns
     -------
@@ -144,8 +144,8 @@ def nullspace(M, tol: float = 1e-8) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2:
         raise ValueError(f"M must be 2-d, got shape {M.shape}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if not np.all(np.isfinite(M)):
         raise ValueError("M has non-finite entries")
     n_cols = M.shape[1]

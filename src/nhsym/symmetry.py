@@ -1,28 +1,46 @@
 """Symmetry relations of non-Hermitian matrices: checkers and discovery.
 
-Six relation kinds are supported, each stored as a plain matrix plus a tag
-saying which equation it enters (antilinear operators are represented by
-their linear part, with conjugation applied to H in the relation):
+Every relation kind is linear in the operator M and reads
 
-========================  =============================================
-kind                      relation checked
-========================  =============================================
-linear_anticommute        H M + M H = 0
-antilinear_anticommute    H C + C conj(H) = 0
-antilinear_commute        H X - X conj(H) = 0
-transpose_minus           eta H^T + H eta = 0
-dagger_plus               eta H^dagger - H eta = 0
-dagger_minus              zeta H^dagger + H zeta = 0
-========================  =============================================
+    H M + sign * M B(H) = 0,
 
-The transpose and dagger relations are checked in inverse-free form, so a
-singular candidate can still be evaluated when explicitly allowed.
-Alongside the checkers: product constructors combining an antilinear
-symmetry with a conjugation-type one, the symmetric/antisymmetric split
-rule, a Kronecker-product nullspace engine that finds every operator of a
-given kind (optionally within a matrix basis), and a 90-degree complex
-rotation that exchanges which relation pair underlies a transpose-type
-symmetry.
+where the partner B(H) is H, its transpose, its complex conjugate or its
+conjugate transpose.  Antilinear operators are represented by their
+linear part, with the conjugation moved onto H.  One table,
+``RELATIONS``, records each kind's partner and sign together with the
+token model hints use for it and, for the four kinds that can be
+discovered, the relation name :func:`discover` accepts:
+
+======================  =========  ====  ==========  =============
+kind                    B(H)       sign  hint        discover name
+======================  =========  ====  ==========  =============
+linear_anticommute      H          +     chiral      chiral
+antilinear_anticommute  conj(H)    +     nhph        nhph
+antilinear_commute      conj(H)    -     rt          bosonic
+transpose_minus         H^T        +     pseudo      pseudo_chiral
+dagger_plus             H^dagger   -     pseudoH
+dagger_minus            H^dagger   +     antipseudo
+======================  =========  ====  ==========  =============
+
+The table gives :func:`check` its residual, :func:`named_operator` and
+:func:`discover` their name lookups, and discovery both of its kernels.
+The transpose and dagger relations are used in this inverse-free form, so
+a singular candidate can still be evaluated when explicitly allowed.
+
+Discovery is spectral where it can be.  For diagonalizable
+H = V diag(lam) V^-1 the partner diagonalizes as B(H) = P diag(mu) P^-1
+(mu = lam, or conj(lam) for the conjugating kinds), and with M = V Y P^-1
+the relation reads Y_ij (lam_i + sign * mu_j) = 0.  The solutions are
+spanned by one rank-one eigen-dyad per matched eigenvalue pair, found in
+O(n^3) time.  A defective or badly conditioned H, and a caller-supplied
+basis, take the dense kernel instead: the nullspace of the matrix whose
+columns are the residual map applied to each basis element (by default
+the n^2 unit matrices, an n^2 x n^2 matrix, hence capped at n = 32).
+
+Alongside: product constructors combining an antilinear symmetry with a
+conjugation-type one, the symmetric/antisymmetric split rule, and a
+90-degree complex rotation that exchanges which relation pair underlies a
+transpose-type symmetry.
 """
 
 from __future__ import annotations
@@ -33,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import clifford, model as model_mod
-from .linalg import nullspace
+from .linalg import _as_square, nullspace
 
 LINEAR_ANTICOMMUTE = "linear_anticommute"
 ANTILINEAR_ANTICOMMUTE = "antilinear_anticommute"
@@ -42,20 +60,58 @@ TRANSPOSE_MINUS = "transpose_minus"
 DAGGER_PLUS = "dagger_plus"
 DAGGER_MINUS = "dagger_minus"
 
-KINDS = (
-    LINEAR_ANTICOMMUTE,
-    ANTILINEAR_ANTICOMMUTE,
-    ANTILINEAR_COMMUTE,
-    TRANSPOSE_MINUS,
-    DAGGER_PLUS,
-    DAGGER_MINUS,
-)
+
+@dataclass(frozen=True)
+class Relation:
+    """One relation kind: ``H M + sign * M B(H) = 0``.
+
+    ``B(H)`` is H, complex conjugated if ``conj`` and transposed if
+    ``transpose``.  ``hint`` names the kind in model symmetry hints and
+    ``discover_name`` in :func:`discover` (None: not discoverable).
+    """
+
+    hint: str
+    discover_name: str | None
+    conj: bool
+    transpose: bool
+    sign: int
+
+    def residual(self, H: np.ndarray, M: np.ndarray) -> np.ndarray:
+        """The relation's left side, for one operator or a stack of them."""
+        B = H.conj() if self.conj else H
+        HM, MB = H @ M, M @ (B.T if self.transpose else B)
+        return HM + MB if self.sign > 0 else HM - MB
+
+
+RELATIONS = {
+    LINEAR_ANTICOMMUTE: Relation("chiral", "chiral", False, False, +1),
+    ANTILINEAR_ANTICOMMUTE: Relation("nhph", "nhph", True, False, +1),
+    ANTILINEAR_COMMUTE: Relation("rt", "bosonic", True, False, -1),
+    TRANSPOSE_MINUS: Relation("pseudo", "pseudo_chiral", False, True, +1),
+    DAGGER_PLUS: Relation("pseudoH", None, True, True, -1),
+    DAGGER_MINUS: Relation("antipseudo", None, True, True, +1),
+}
+
+KINDS = tuple(RELATIONS)
+
+_HINT_KINDS = {rel.hint: kind for kind, rel in RELATIONS.items()}
+_DISCOVER_KINDS = {rel.discover_name: kind for kind, rel in RELATIONS.items()
+                   if rel.discover_name is not None}
+DISCOVER_RELATIONS = tuple(sorted(_DISCOVER_KINDS))
 
 # kinds whose defining relation conjugates the operator by an inverse
 _INVERTIBLE_KINDS = (TRANSPOSE_MINUS, DAGGER_PLUS, DAGGER_MINUS)
 
 COND_MAX = 1e8
 PASS_TOL = 1e-10
+
+# eigenvector condition number above which discovery leaves the spectral
+# path for the dense kernel: below it, computed eigenvalues err by at most
+# about 1e6 * eps * ||H|| = 2e-10 ||H||, under discovery's default tol
+SPECTRAL_COND_MAX = 1e6
+# largest n the dense kernel takes without a caller basis: its matrix is
+# n^2 x n^2, 16 MB of complex entries at n = 32
+DENSE_KERNEL_MAX_N = 32
 
 
 @dataclass(frozen=True)
@@ -94,33 +150,47 @@ def _fro(M) -> float:
     return float(np.linalg.norm(M))
 
 
+def _unit_scaled(A: np.ndarray) -> np.ndarray:
+    """A times the power of two that brings its largest real or imaginary
+    part into [0.5, 1).  The rescaling is exact, and afterwards products
+    and Frobenius norms of n x n matrices cannot overflow.  A zero or
+    non-finite A is returned as is."""
+    peak = max(np.max(np.abs(A.real), initial=0.0),
+               np.max(np.abs(A.imag), initial=0.0))
+    if not 0 < peak < np.inf:
+        return A
+    # clamped so the factor itself stays finite for a subnormal peak
+    return A * np.ldexp(1.0, -max(int(np.frexp(peak)[1]), -1021))
+
+
 def check(H, op: SymOp) -> float:
     """Residual of the operator's defining relation, scale-normalized.
 
     Returns ``||R|| / (||H|| * ||op||)`` (Frobenius norms) where R is the
-    relation listed in the module docstring for ``op.kind``.  A residual at
-    most 1e-10 counts as satisfied; the number is returned, not thresholded.
+    left side of the relation in the module docstring for ``op.kind``.
+    H and the operator are first rescaled by powers of two to unit-sized
+    entries; the ratio is unchanged, but no product or norm overflows.  A
+    residual at most 1e-10 counts as satisfied; the number is returned,
+    not thresholded.
+
+    Raises
+    ------
+    ValueError
+        On a shape mismatch, or when the residual is not finite (H has
+        non-finite entries).
     """
     H = np.asarray(H, dtype=complex)
     M = op.matrix
     if H.shape != M.shape:
         raise ValueError(f"dimension mismatch: H {H.shape} vs operator {M.shape}")
-    if op.kind == LINEAR_ANTICOMMUTE:
-        R = H @ M + M @ H
-    elif op.kind == ANTILINEAR_ANTICOMMUTE:
-        R = H @ M + M @ H.conj()
-    elif op.kind == ANTILINEAR_COMMUTE:
-        R = H @ M - M @ H.conj()
-    elif op.kind == TRANSPOSE_MINUS:
-        R = M @ H.T + H @ M
-    elif op.kind == DAGGER_PLUS:
-        R = M @ H.conj().T - H @ M
-    else:  # DAGGER_MINUS
-        R = M @ H.conj().T + H @ M
+    H, M = _unit_scaled(H), _unit_scaled(M)
+    R = RELATIONS[op.kind].residual(H, M)
     denom = _fro(H) * _fro(M)
-    if denom == 0:
-        return 0.0 if _fro(R) == 0 else np.inf
-    return _fro(R) / denom
+    r = 0.0 if denom == 0 else _fro(R) / denom
+    if not np.isfinite(r):
+        raise ValueError(f"{op.kind} residual is not finite; "
+                         "H has non-finite entries")
+    return r
 
 
 def product_chiral(X, C, label: str = "") -> SymOp:
@@ -188,7 +258,7 @@ def pseudo_from_sa(H, tol: float = PASS_TOL) -> SAResult:
     if norm_a == 0:
         return SAResult(None, None, 0.0)
     anti = _fro(A @ S + S @ A)
-    if anti > tol * max(norm_a * norm_s, 1e-300):
+    if not anti <= tol * max(norm_a * norm_s, 1e-300):
         return SAResult(None, None, anti)
     singular = not np.linalg.cond(A) <= COND_MAX
     if singular:
@@ -205,34 +275,36 @@ def pseudo_from_sa(H, tol: float = PASS_TOL) -> SAResult:
         chiral = SymOp(S @ A, LINEAR_ANTICOMMUTE, label="S @ A product")
     for op in filter(None, (eta, chiral)):
         r = check(H, op)
-        if r > max(10 * anti / max(_fro(H) * _fro(op.matrix), 1e-300), tol):
+        bound = max(10 * anti / max(_fro(H) * _fro(op.matrix), 1e-300), tol)
+        if not r <= bound:
             raise RuntimeError(f"split operator failed verification ({r:.3g})")
     return SAResult(eta, chiral, anti)
 
 
-_RELATION_KINDS = {
-    "chiral": LINEAR_ANTICOMMUTE,
-    "pseudo_chiral": TRANSPOSE_MINUS,
-    "nhph": ANTILINEAR_ANTICOMMUTE,
-    "bosonic": ANTILINEAR_COMMUTE,
-}
-
-
 def discover(H, relation: str, basis=None, labels=None,
              tol: float = 1e-9) -> list[SymOp]:
-    """Find every operator satisfying a relation with H, by nullspace.
+    """Find a basis of every operator satisfying a relation with H.
 
-    The relation is linear in the unknown operator, so its solutions are
-    the kernel of a Kronecker-product map; with a basis supplied the search
-    is restricted to its span and solutions are reported as coefficient
-    combinations of the basis.
+    Without a basis the search is spectral: H is diagonalized, every
+    eigenvalue pair (i, j) with ``|lam_i + sign * mu_j| <= tol * ||H||_F``
+    contributes the eigen-dyad ``v_i u_j^T`` (see the module docstring),
+    and for such a dyad that gap over ``||H||_F`` is exactly its
+    :func:`check` residual.  When the eigenvector matrix is badly
+    conditioned (cond above ``SPECTRAL_COND_MAX``, as near an exceptional
+    point) or a dyad fails verification, the dense kernel over the n^2
+    unit matrices runs instead; it needs an n^2 x n^2 matrix and is
+    refused above ``DENSE_KERNEL_MAX_N``.  With a basis, the dense kernel
+    runs over the basis, restricting the search to its span; there ``tol``
+    is the relative singular-value threshold of the nullspace.  On either
+    path every returned operator is verified: its residual is at most
+    ``tol``.
 
     Parameters
     ----------
     H : array_like
-        Square complex matrix.
+        Square complex matrix with finite entries, at most 256x256.
     relation : str
-        One of ``chiral``, ``pseudo_chiral``, ``nhph``, ``bosonic``.
+        One of ``bosonic``, ``chiral``, ``nhph``, ``pseudo_chiral``.
     basis : sequence of array_like, optional
         Linearly independent matrices spanning the search space; defaults
         to the full matrix space.
@@ -240,61 +312,96 @@ def discover(H, relation: str, basis=None, labels=None,
         Per-basis-element labels (e.g. generator products); when given,
         each solution's label is its formatted expansion.
     tol : float
-        Relative singular-value threshold for the kernel, and the bound
-        every returned operator's residual is verified against.
+        Finite and positive: the pairing gap and residual bound above.
 
     Returns
     -------
     list of SymOp
         A basis of the solution space, each scaled so its largest
-        coefficient is exactly 1; the length is the space's dimension.
-    """
-    H = np.asarray(H, dtype=complex)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"H must be square, got shape {H.shape}")
-    if relation not in _RELATION_KINDS:
-        raise ValueError(
-            f"unknown relation {relation!r}; expected one of {sorted(_RELATION_KINDS)}"
-        )
-    kind = _RELATION_KINDS[relation]
-    n = H.shape[0]
-    eye = np.eye(n)
-    # column-stacking convention: vec(A X B) = kron(B.T, A) vec(X)
-    if relation == "chiral":
-        L = np.kron(eye, H) + np.kron(H.T, eye)
-    elif relation == "pseudo_chiral":
-        L = np.kron(eye, H) + np.kron(H, eye)
-    elif relation == "nhph":
-        L = np.kron(eye, H) + np.kron(H.conj().T, eye)
-    else:  # bosonic
-        L = np.kron(eye, H) - np.kron(H.conj().T, eye)
+        coefficient (its largest entry, without a basis) is 1; the length
+        is the space's dimension.
 
+    Raises
+    ------
+    ValueError
+        On bad input, or when the dense kernel would be needed above its
+        size limit.
+    """
+    if relation not in _DISCOVER_KINDS:
+        raise ValueError(f"unknown relation {relation!r}; "
+                         f"expected one of {list(DISCOVER_RELATIONS)}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    kind = _DISCOVER_KINDS[relation]
+    # the solution space does not change under a positive rescaling of H,
+    # and a power of two is exact
+    H = _unit_scaled(_as_square(H))
+    n = H.shape[0]
     if basis is not None:
         mats = [np.asarray(b, dtype=complex) for b in basis]
         if any(b.shape != (n, n) for b in mats):
             raise ValueError("basis elements must match H's shape")
-        stack = np.column_stack([b.reshape(-1, order="F") for b in mats])
-        if np.linalg.matrix_rank(stack, tol=1e-10 * max(n, len(mats))) < len(mats):
+        mats = np.array(mats)
+        k = len(mats)
+        if np.linalg.matrix_rank(mats.reshape(k, -1), tol=1e-10 * max(n, k)) < k:
             raise ValueError("basis elements are linearly dependent")
-        kernel = nullspace(L @ stack, tol)
-    else:
-        mats = None
-        kernel = nullspace(L, tol)
+        return _dense_kernel(H, kind, mats, labels, tol)
+    ops = _eigen_dyads(H, kind, tol)
+    if ops is not None:
+        return ops
+    if n > DENSE_KERNEL_MAX_N:
+        raise ValueError(
+            f"H is defective or too close to it for spectral discovery, and "
+            f"the dense kernel is limited to n <= {DENSE_KERNEL_MAX_N} "
+            f"(n = {n})"
+        )
+    units = np.eye(n * n).reshape(n * n, n, n).transpose(0, 2, 1)
+    return _dense_kernel(H, kind, units, None, tol)
 
+
+def _eigen_dyads(H, kind: str, tol: float) -> list[SymOp] | None:
+    """Spectral solution basis, or None when the dense kernel must decide."""
+    rel = RELATIONS[kind]
+    lam, V = np.linalg.eig(H)
+    sigma = np.linalg.svd(V, compute_uv=False)
+    if sigma.size and not sigma[-1] * SPECTRAL_COND_MAX >= sigma[0]:
+        return None
+    # rows u_j with B(H) = U^-1 diag(mu) U
+    U = V.T if rel.transpose else np.linalg.inv(V)
+    mu = lam
+    if rel.conj:
+        U, mu = U.conj(), lam.conj()
+    gap = np.abs(lam[:, None] + rel.sign * mu[None, :])
     out = []
-    for col in range(kernel.shape[1]):
-        c = kernel[:, col]
-        pivot = c[int(np.argmax(np.abs(c)))]
-        c = c / pivot
-        if mats is None:
-            M = c.reshape((n, n), order="F")
-            label = ""
-        else:
-            M = sum(c[a] * mats[a] for a in range(len(mats)))
-            label = _coefficient_label(c, labels)
-        op = SymOp(M, kind, label=label, allow_singular=True)
+    for i, j in np.argwhere(gap <= tol * _fro(H)):
+        v, u = V[:, i], U[j]
+        # both pivots become 1, so the dyad's largest entry is 1
+        X = np.outer(v / v[np.argmax(np.abs(v))], u / u[np.argmax(np.abs(u))])
+        op = SymOp(X, kind, allow_singular=True)
+        if not check(H, op) <= tol:
+            return None
+        out.append(op)
+    return out
+
+
+def _dense_kernel(H, kind: str, mats: np.ndarray, labels,
+                  tol: float) -> list[SymOp]:
+    """Solutions in the span of the (k, n, n) stack ``mats``: the nullspace
+    of the n^2 x k matrix whose column a is the column-stacked residual of
+    ``mats[a]``."""
+    k = len(mats)
+    R = RELATIONS[kind].residual(H, mats)
+    kernel = nullspace(R.transpose(0, 2, 1).reshape(k, -1).T, tol)
+    out = []
+    for c in kernel.T:
+        c = c / c[np.argmax(np.abs(c))]
+        # an ordered sum over the basis: tensordot would regroup the
+        # additions and change the last digits of the result
+        M = (c[:, None, None] * mats).sum(axis=0)
+        op = SymOp(M, kind, label=_coefficient_label(c, labels),
+                   allow_singular=True)
         r = check(H, op)
-        if r > tol:
+        if not r <= tol:
             raise RuntimeError(
                 f"discovered operator fails its relation ({r:.3g} > {tol:g})"
             )
@@ -314,15 +421,6 @@ def _coefficient_label(c, labels) -> str:
         return clifford.format_expr(clifford.GammaExpr.from_terms(terms))
     return " + ".join(f"({coeff:.6g})*{lab}" for lab, coeff in terms)
 
-
-_HINT_KINDS = {
-    "chiral": LINEAR_ANTICOMMUTE,
-    "nhph": ANTILINEAR_ANTICOMMUTE,
-    "rt": ANTILINEAR_COMMUTE,
-    "pseudo": TRANSPOSE_MINUS,
-    "pseudoH": DAGGER_PLUS,
-    "antipseudo": DAGGER_MINUS,
-}
 
 _LATTICE_TOKENS = ("sublattice", "mirror1", "mirror2", "mirror3", "parity")
 
@@ -380,12 +478,12 @@ def hidden_nhph(beta: complex, g1: complex, g2: complex,
     op = SymOp(C, ANTILINEAR_ANTICOMMUTE, label="rotation-paired conjugation")
     H = model_mod.to_matrix(model_mod.rt_wheel(beta, g1, g2))
     r = check(H, op)
-    if r > tol:
+    if not r <= tol:
         raise RuntimeError(f"construction failed verification ({r:.3g})")
     pi = product_chiral(rot2, C).matrix
     pi_expected = g2.real * clifford.gamma(1) + 1j * g1.imag * clifford.gamma(3)
     scale = np.vdot(pi_expected, pi) / np.vdot(pi_expected, pi_expected)
-    if _fro(pi - scale * pi_expected) > tol * _fro(pi):
+    if not _fro(pi - scale * pi_expected) <= tol * _fro(pi):
         raise RuntimeError("rotation product does not match the linear operator")
     return op
 
@@ -435,7 +533,7 @@ def pseudo_properties(H, eta, commuting=(), tol: float = PASS_TOL) -> PseudoRepo
         eta = SymOp(np.asarray(eta, dtype=complex), TRANSPOSE_MINUS,
                     allow_singular=True)
     base = check(H, eta)
-    if base > tol:
+    if not base <= tol:
         raise ValueError(f"eta does not satisfy its relation ({base:.3g} > {tol:g})")
     transposed = SymOp(eta.matrix.T, TRANSPOSE_MINUS, label="transpose",
                        allow_singular=True)

@@ -164,6 +164,34 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9", "x"])
+def test_bad_tolerance_exits_two(capsys, tol):
+    # a NaN tolerance used to let every one of the 169 unit matrices count
+    # as a discovered flake operator, with exit 0
+    for argv in (["check", "--preset", "flake", "--discover", "chiral"],
+                 ["check", "--preset", "dirac4a"],
+                 ["sweep", "--fig", "2b"],
+                 ["ep", "--family", "jordan2", "--bracket", "0.5", "1"]):
+        assert cli.main(argv + [f"--tol={tol}"]) == 2
+        err = capsys.readouterr().err
+        assert "finite positive" in err
+
+
+def test_check_residuals_survive_huge_parameters(capsys):
+    # ||H||_F overflows here; the residuals are now taken on rescaled
+    # matrices, so they are the ones printed at unit scale, not 0 from a
+    # division by inf (or nan from an overflowed product)
+    code, out, _ = run(capsys, "check", "--preset", "dirac4a",
+                       "--g1", "1e308", "--g2", "1e308")
+    assert code == 0
+    assert "6/6 declared operators pass" in out
+    assert "nan" not in out
+    code, out, _ = run(capsys, "check", "--preset", "dirac4a",
+                       "--g1", "1e308", "--g2", "1e308", "--op", "g5")
+    assert code == 1
+    assert "residual 7.071e-01  FAIL" in out
+
+
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     capsys.readouterr()

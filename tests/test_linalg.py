@@ -73,6 +73,12 @@ def test_nullspace_trivial():
     assert K.shape == (3, 0)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-8])
+def test_nullspace_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tol"):
+        linalg.nullspace(np.eye(3), tol)
+
+
 def test_multiplicities_jordan_block():
     J = np.zeros((3, 3), dtype=complex)
     J[0, 1] = J[1, 2] = 1.0

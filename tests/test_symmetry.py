@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
@@ -48,6 +48,27 @@ def test_check_dimension_and_zero_guards():
     with pytest.raises(ValueError):
         check(np.eye(3), SymOp(SZ, LINEAR_ANTICOMMUTE))
     assert check(np.zeros((2, 2)), SymOp(SZ, LINEAR_ANTICOMMUTE)) == 0.0
+
+
+def test_check_extreme_magnitudes():
+    # ||H||_F overflows to inf although every entry is finite; the true
+    # relative residual 1e300 / (sqrt(2) * 1.5e308) is a clear failure
+    H = np.diag([1.5e308, -1.5e308 + 1e300]).astype(complex)
+    op = SymOp(np.array([[0, 1], [0, 0]]), LINEAR_ANTICOMMUTE)
+    assert check(H, op) == pytest.approx(1e300 / 1.5e308 / np.sqrt(2),
+                                         rel=1e-12)
+    # power-of-two rescaling is exact, so the residual is scale-free
+    H = SX + 0.3j * SZ
+    op = SymOp(SY + 0.1 * SZ, TRANSPOSE_MINUS)
+    for k in (-1000, -500, 0, 500, 1020):
+        assert check(np.ldexp(1.0, k) * H, op) == check(H, op)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_check_rejects_non_finite_residual():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="not finite"):
+            check(np.array([[0, bad], [1, 0]]), SymOp(SZ, LINEAR_ANTICOMMUTE))
 
 
 def test_symop_validation():
@@ -197,6 +218,123 @@ def test_discover_validation():
         symmetry.discover(SZ, "chiral", basis=[np.eye(3)])
     with pytest.raises(ValueError, match="dependent"):
         symmetry.discover(SZ, "chiral", basis=[SZ, 2 * SZ])
+    for tol in (np.nan, np.inf, 0.0, -1e-9):
+        with pytest.raises(ValueError, match="tol"):
+            symmetry.discover(SZ, "chiral", tol=tol)
+    with pytest.raises(ValueError, match="non-finite"):
+        symmetry.discover(np.array([[0, np.nan], [1, 0]]), "chiral")
+    with pytest.raises(ValueError, match="square"):
+        symmetry.discover(np.zeros((2, 3)), "chiral")
+    with pytest.raises(ValueError, match="dense cap"):
+        symmetry.discover(np.eye(257), "chiral")
+
+
+def _unit_basis(n):
+    return [np.eye(n * n)[k].reshape((n, n), order="F") for k in range(n * n)]
+
+
+def _in_span(ops, others):
+    """Largest relative distance of an operator in ops from others' span."""
+    if not ops:
+        return 0.0
+    A = np.column_stack([o.matrix.ravel() for o in others])
+    worst = 0.0
+    for op in ops:
+        x = op.matrix.ravel()
+        coef = np.linalg.lstsq(A, x, rcond=None)[0]
+        worst = max(worst, np.linalg.norm(A @ coef - x) / np.linalg.norm(x))
+    return worst
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+           st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                    min_size=n, max_size=n),
+           st.integers(0, 2**32 - 1))),
+       st.sampled_from(symmetry.DISCOVER_RELATIONS))
+def test_discover_spectral_and_dense_paths_agree(spec, relation):
+    # eigenvalues on the Gaussian-integer grid: every pairing gap is either
+    # exactly zero or at least 1, far from both paths' thresholds
+    points, seed = spec
+    # with a one-point spectrum every pair can match, and the dense
+    # residual matrix is then pure rounding, too small for its relative
+    # singular-value threshold to measure against
+    assume(len(set(points)) > 1 or points[0] == (0, 0))
+    lam = np.array([complex(a, b) for a, b in points])
+    n = len(lam)
+    rng = np.random.default_rng(seed)
+    V = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    assume(np.linalg.cond(V) <= 100)
+    H = V @ np.diag(lam) @ np.linalg.inv(V)
+    spectral = symmetry.discover(H, relation)
+    dense = symmetry.discover(H, relation, basis=_unit_basis(n))
+    assert len(spectral) == len(dense)
+    for op in spectral:
+        assert np.linalg.matrix_rank(op.matrix) == 1  # an eigen-dyad
+        assert np.abs(op.matrix).max() == pytest.approx(1.0, abs=1e-15)
+        assert check(H, op) <= 1e-9
+    assert _in_span(spectral, dense) <= 1e-7
+    assert _in_span(dense, spectral) <= 1e-7
+
+
+def test_discover_jordan_block_takes_dense_fallback(monkeypatch):
+    calls = []
+    original = symmetry.nullspace
+
+    def counting_nullspace(M, tol):
+        calls.append(M.shape)
+        return original(M, tol)
+
+    monkeypatch.setattr(symmetry, "nullspace", counting_nullspace)
+    J = np.array([[0, 1], [0, 0]], dtype=complex)
+    # both eigenvalues are 0, so a pair count would claim all 4 matrices;
+    # the anticommutant is {[[a, b], [0, -a]]}
+    ops = symmetry.discover(J, "chiral")
+    assert calls == [(4, 4)]
+    assert len(ops) == 2
+    for op in ops:
+        assert check(J, op) == 0.0
+        assert op.matrix[1, 0] == 0
+        assert op.matrix[0, 0] == -op.matrix[1, 1]
+
+
+def test_discover_defective_above_dense_limit_refused():
+    shift = np.diag(np.ones(32), 1)  # a 33 x 33 Jordan block
+    with pytest.raises(ValueError, match="n <= 32"):
+        symmetry.discover(shift, "chiral")
+    # a diagonalizable matrix of that size stays on the spectral path
+    assert len(symmetry.discover(np.diag(np.arange(-16.0, 17.0)), "chiral")) == 33
+
+
+@pytest.mark.parametrize("tau", [1.2, 1.3, 1.4, 1.41, 1.414, 1.4142135,
+                                 np.sqrt(2), 1.415, 1.45, 1.5, 1.6])
+def test_discover_flake_near_exceptional_point(tau):
+    H = model.to_matrix(model.honeycomb_flake(1.0, tau))
+    for relation in symmetry.DISCOVER_RELATIONS:
+        ops = symmetry.discover(H, relation)
+        assert len(ops) == 21, relation
+        for op in ops:
+            assert check(H, op) <= 1e-9
+
+
+def test_discover_criterion07_matrix_exact_dimension():
+    # criterion 07 asserts an empty chiral space for this Gaussian-integer
+    # matrix; exact rational arithmetic shows the space is 4-dimensional,
+    # matching its two +- eigenvalue pairs
+    sympy = pytest.importorskip("sympy")
+    H = (gamma(0) + gamma(5) + gamma(1) + gamma(3) + gamma((1, 3))
+         + (1 + 1j) * gamma((0, 5)))
+    assert np.array_equal(H, np.round(H.real) + 1j * np.round(H.imag))
+    Hx = sympy.Matrix(4, 4, [sympy.Integer(int(z.real))
+                             + sympy.I * sympy.Integer(int(z.imag))
+                             for z in H.ravel()])
+    X = sympy.Matrix(4, 4, sympy.symbols("x0:16"))
+    equations = list(Hx * X + X * Hx)
+    A = sympy.Matrix([[sympy.expand(eq).coeff(x) for x in X]
+                      for eq in equations])
+    assert 16 - A.rank() == 4
+    assert len(symmetry.discover(H, "chiral")) == 4
+    assert len(symmetry.discover(H, "chiral", basis=clifford.basis16())) == 4
 
 
 # --- named operators ------------------------------------------------------
