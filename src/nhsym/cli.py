@@ -12,7 +12,9 @@ Three subcommands:
     Locate an exceptional point of a one-parameter family in a bracket.
 
 Exit codes: 0 success, 1 scientific negative (relation failed, empty
-discovery, no exceptional point), 2 usage or input error.
+discovery, no exceptional point), 2 usage or input error, 3 numerical
+failure (an eigendecomposition that misses its residual bound, or a
+computed operator that fails verification).
 """
 
 from __future__ import annotations
@@ -252,6 +254,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:  # linalg.ConvergenceError included
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

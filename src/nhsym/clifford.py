@@ -269,18 +269,25 @@ def expr_to_matrix(e) -> np.ndarray:
     return e.to_matrix()
 
 
+_BASIS16_LABELS = ((GammaLabel(()),)
+                   + tuple(GammaLabel((i,)) for i in INDICES)
+                   + tuple(GammaLabel((INDICES[a], INDICES[b]))
+                           for a in range(5) for b in range(a + 1, 5)))
+_BASIS16 = np.array([gamma(l.indices) for l in _BASIS16_LABELS])
+_BASIS16.flags.writeable = False
+
+
 def basis16_labels() -> list[GammaLabel]:
     """The 16 canonical products: identity, 5 singles, 10 ascending pairs."""
-    labels = [GammaLabel(())]
-    labels += [GammaLabel((i,)) for i in INDICES]
-    labels += [GammaLabel((INDICES[a], INDICES[b]))
-               for a in range(5) for b in range(a + 1, 5)]
-    return labels
+    return list(_BASIS16_LABELS)
 
 
 def basis16() -> list[np.ndarray]:
-    """Matrices of the 16 canonical products, spanning all 4x4 matrices."""
-    return [gamma(l.indices) for l in basis16_labels()]
+    """Matrices of the 16 canonical products, spanning all 4x4 matrices.
+
+    A fresh list of fresh arrays: callers may modify what they get.
+    """
+    return list(_BASIS16.copy())
 
 
 def expand_in_basis16(M) -> np.ndarray:
@@ -288,8 +295,7 @@ def expand_in_basis16(M) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
     if M.shape != (4, 4):
         raise ValueError(f"need a 4x4 matrix, got shape {M.shape}")
-    stack = np.column_stack([b.reshape(-1) for b in basis16()])
-    return np.linalg.solve(stack, M.reshape(-1))
+    return np.linalg.solve(_BASIS16.reshape(16, -1).T, M.reshape(-1))
 
 
 def verify_clifford() -> list[str]:

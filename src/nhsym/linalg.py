@@ -65,6 +65,12 @@ def _as_square(H, name: str = "H") -> np.ndarray:
     return H
 
 
+def _require_tol(tol, name: str = "tol") -> None:
+    """Reject a tolerance that is not a finite positive number."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"{name} must be finite and positive, got {tol!r}")
+
+
 def _fix_phase(vectors: np.ndarray) -> np.ndarray:
     """Scale each column so its largest-magnitude entry is real positive."""
     out = vectors.copy()
@@ -144,8 +150,7 @@ def nullspace(M, tol: float = 1e-8) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2:
         raise ValueError(f"M must be 2-d, got shape {M.shape}")
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    _require_tol(tol)
     if not np.all(np.isfinite(M)):
         raise ValueError("M has non-finite entries")
     n_cols = M.shape[1]
@@ -167,9 +172,9 @@ def multiplicities(H, center: complex, tol: float | None = None) -> tuple[int, i
     center : complex
         Point in the complex plane around which to count.
     tol : float, optional
-        Absolute cluster radius.  Defaults to ``1e-7 * ||H||_F``.  The same
-        value thresholds the singular values of ``H - center * I`` for the
-        geometric count.
+        Absolute cluster radius, finite and positive.  Defaults to
+        ``1e-7 * ||H||_F``.  The same value thresholds the singular values
+        of ``H - center * I`` for the geometric count.
 
     Returns
     -------
@@ -188,8 +193,7 @@ def multiplicities(H, center: complex, tol: float | None = None) -> tuple[int, i
     scale = np.linalg.norm(H)
     if tol is None:
         tol = TOL_CLUSTER * max(scale, 1.0)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _require_tol(tol)
     w = np.linalg.eigvals(H)
     dist = np.abs(w - center)
     algebraic = int(np.count_nonzero(dist <= tol))

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import model as model_mod
-from .linalg import eig, multiplicities
+from .linalg import _require_tol, eig, multiplicities
 
 CLASSIFY_TOL = 1e-8
 ZERO_FLAG_TOL = 1e-8
@@ -75,7 +75,9 @@ class SpectrumSymmetry:
 
 def classify_spectrum(values, tol: float = CLASSIFY_TOL) -> SpectrumSymmetry:
     """Measure how close a multiset of eigenvalues is to each reflection
-    symmetry, using an optimal pairing between the set and its image."""
+    symmetry, using an optimal pairing between the set and its image.
+    ``tol`` must be finite and positive."""
+    _require_tol(tol)
     values = np.asarray(values, dtype=complex).ravel()
     if values.size == 0:
         raise ValueError("empty spectrum")
@@ -159,8 +161,12 @@ def ep_locate(family: Callable[[float], np.ndarray], bracket,
     point counts as found when the minimized distance is at most
     ``found_tol``.  Multiplicities are then measured with a cluster radius
     of ``cluster_tol`` (default: five times the residual spread, floored at
-    1e-7 ||H||).
+    1e-7 ||H||).  Every tolerance given must be finite and positive.
     """
+    _require_tol(param_tol, "param_tol")
+    _require_tol(found_tol, "found_tol")
+    if cluster_tol is not None:
+        _require_tol(cluster_tol, "cluster_tol")
     a, b = float(bracket[0]), float(bracket[1])
     if not a < b:
         raise ValueError(f"bracket must satisfy lo < hi, got ({a}, {b})")

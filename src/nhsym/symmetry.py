@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import clifford, model as model_mod
-from .linalg import _as_square, nullspace
+from .linalg import _as_square, _require_tol, nullspace
 
 LINEAR_ANTICOMMUTE = "linear_anticommute"
 ANTILINEAR_ANTICOMMUTE = "antilinear_anticommute"
@@ -150,17 +150,56 @@ def _fro(M) -> float:
     return float(np.linalg.norm(M))
 
 
+def _fro_norms(A: np.ndarray) -> np.ndarray:
+    """Frobenius norms of a (k, n, n) stack, each summed in the order
+    ``np.linalg.norm`` sums one matrix: a dot product of the real parts
+    plus one of the imaginary parts."""
+    k = len(A)
+    re, im = A.real.reshape(k, 1, -1), A.imag.reshape(k, 1, -1)
+    sq = re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)
+    return np.sqrt(sq[:, 0, 0])
+
+
 def _unit_scaled(A: np.ndarray) -> np.ndarray:
     """A times the power of two that brings its largest real or imaginary
     part into [0.5, 1).  The rescaling is exact, and afterwards products
     and Frobenius norms of n x n matrices cannot overflow.  A zero or
-    non-finite A is returned as is."""
-    peak = max(np.max(np.abs(A.real), initial=0.0),
-               np.max(np.abs(A.imag), initial=0.0))
-    if not 0 < peak < np.inf:
-        return A
+    non-finite A is returned as is.  A (k, n, n) stack is scaled matrix
+    by matrix."""
+    re = np.abs(A.real).max(axis=(-2, -1), initial=0.0)
+    im = np.abs(A.imag).max(axis=(-2, -1), initial=0.0)
+    # the larger of the two, or the real part's peak when they are
+    # unordered (a NaN)
+    peak = np.where(im > re, im, re)
+    ok = (0 < peak) & (peak < np.inf)
     # clamped so the factor itself stays finite for a subnormal peak
-    return A * np.ldexp(1.0, -max(int(np.frexp(peak)[1]), -1021))
+    factor = np.ldexp(1.0, -np.maximum(np.frexp(peak)[1], -1021))
+    if ok.all():
+        return A * factor[..., None, None]
+    out = A.copy()
+    out[ok] = A[ok] * factor[ok][:, None, None]
+    return out
+
+
+# operators verified per stacked residual, bounding the (block, n, n)
+# temporaries of one discovery's verification
+VERIFY_BLOCK = 8
+
+
+def _residuals(H: np.ndarray, kind: str, mats: np.ndarray) -> np.ndarray:
+    """:func:`check`'s residual of every matrix of the (k, n, n) stack
+    ``mats`` as an operator of ``kind``, verified ``VERIFY_BLOCK`` at a
+    time.  Not finite where H has non-finite entries."""
+    rel = RELATIONS[kind]
+    H = _unit_scaled(H)
+    norm_h = _fro(H)
+    out = np.zeros(len(mats))
+    for s in range(0, len(mats), VERIFY_BLOCK):
+        M = _unit_scaled(mats[s:s + VERIFY_BLOCK])
+        denom = norm_h * _fro_norms(M)
+        np.divide(_fro_norms(rel.residual(H, M)), denom,
+                  out=out[s:s + VERIFY_BLOCK], where=denom != 0)
+    return out
 
 
 def check(H, op: SymOp) -> float:
@@ -183,10 +222,7 @@ def check(H, op: SymOp) -> float:
     M = op.matrix
     if H.shape != M.shape:
         raise ValueError(f"dimension mismatch: H {H.shape} vs operator {M.shape}")
-    H, M = _unit_scaled(H), _unit_scaled(M)
-    R = RELATIONS[op.kind].residual(H, M)
-    denom = _fro(H) * _fro(M)
-    r = 0.0 if denom == 0 else _fro(R) / denom
+    r = float(_residuals(H, op.kind, M[None])[0])
     if not np.isfinite(r):
         raise ValueError(f"{op.kind} residual is not finite; "
                          "H has non-finite entries")
@@ -326,12 +362,13 @@ def discover(H, relation: str, basis=None, labels=None,
     ValueError
         On bad input, or when the dense kernel would be needed above its
         size limit.
+    RuntimeError
+        When a solution of the dense kernel fails its verification.
     """
     if relation not in _DISCOVER_KINDS:
         raise ValueError(f"unknown relation {relation!r}; "
                          f"expected one of {list(DISCOVER_RELATIONS)}")
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    _require_tol(tol)
     kind = _DISCOVER_KINDS[relation]
     # the solution space does not change under a positive rescaling of H,
     # and a power of two is exact
@@ -366,22 +403,27 @@ def _eigen_dyads(H, kind: str, tol: float) -> list[SymOp] | None:
     sigma = np.linalg.svd(V, compute_uv=False)
     if sigma.size and not sigma[-1] * SPECTRAL_COND_MAX >= sigma[0]:
         return None
+    mu = lam.conj() if rel.conj else lam
+    gap = np.abs(lam[:, None] + rel.sign * mu[None, :])
+    i, j = np.nonzero(gap <= tol * _fro(H))
+    if not i.size:
+        return []
     # rows u_j with B(H) = U^-1 diag(mu) U
     U = V.T if rel.transpose else np.linalg.inv(V)
-    mu = lam
     if rel.conj:
-        U, mu = U.conj(), lam.conj()
-    gap = np.abs(lam[:, None] + rel.sign * mu[None, :])
-    out = []
-    for i, j in np.argwhere(gap <= tol * _fro(H)):
-        v, u = V[:, i], U[j]
-        # both pivots become 1, so the dyad's largest entry is 1
-        X = np.outer(v / v[np.argmax(np.abs(v))], u / u[np.argmax(np.abs(u))])
-        op = SymOp(X, kind, allow_singular=True)
-        if not check(H, op) <= tol:
-            return None
-        out.append(op)
-    return out
+        U = U.conj()
+    # both pivots become 1, so each dyad's largest entry is 1
+    X = (_pivot_normalized(V.T[i])[:, :, None]
+         * _pivot_normalized(U[j])[:, None, :])
+    if not np.all(_residuals(H, kind, X) <= tol):
+        return None
+    return [SymOp(x, kind, allow_singular=True) for x in X]
+
+
+def _pivot_normalized(rows: np.ndarray) -> np.ndarray:
+    """Each row divided by its first largest-magnitude entry."""
+    pivots = rows[np.arange(len(rows)), np.argmax(np.abs(rows), axis=1)]
+    return rows / pivots[:, None]
 
 
 def _dense_kernel(H, kind: str, mats: np.ndarray, labels,
@@ -389,24 +431,23 @@ def _dense_kernel(H, kind: str, mats: np.ndarray, labels,
     """Solutions in the span of the (k, n, n) stack ``mats``: the nullspace
     of the n^2 x k matrix whose column a is the column-stacked residual of
     ``mats[a]``."""
-    k = len(mats)
+    k, n = len(mats), H.shape[0]
     R = RELATIONS[kind].residual(H, mats)
-    kernel = nullspace(R.transpose(0, 2, 1).reshape(k, -1).T, tol)
-    out = []
-    for c in kernel.T:
-        c = c / c[np.argmax(np.abs(c))]
-        # an ordered sum over the basis: tensordot would regroup the
-        # additions and change the last digits of the result
-        M = (c[:, None, None] * mats).sum(axis=0)
-        op = SymOp(M, kind, label=_coefficient_label(c, labels),
-                   allow_singular=True)
-        r = check(H, op)
-        if not r <= tol:
-            raise RuntimeError(
-                f"discovered operator fails its relation ({r:.3g} > {tol:g})"
-            )
-        out.append(op)
-    return out
+    coeffs = _pivot_normalized(
+        nullspace(R.transpose(0, 2, 1).reshape(k, -1).T, tol).T)
+    # one ordered sum over the basis per solution: tensordot would regroup
+    # the additions and change the last digits of the result, and a single
+    # broadcast would hold a (solutions, k, n, n) temporary
+    sols = np.empty((len(coeffs), n, n), dtype=complex)
+    for M, c in zip(sols, coeffs):
+        M[...] = (c[:, None, None] * mats).sum(axis=0)
+    r = _residuals(H, kind, sols)
+    failed = np.flatnonzero(~(r <= tol))
+    if failed.size:
+        raise RuntimeError(f"discovered operator fails its relation "
+                           f"({r[failed[0]]:.3g} > {tol:g})")
+    return [SymOp(M, kind, label=_coefficient_label(c, labels),
+                  allow_singular=True) for M, c in zip(sols, coeffs)]
 
 
 def _coefficient_label(c, labels) -> str:

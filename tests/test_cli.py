@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nhsym import cli, model, symmetry
+from nhsym import cli, linalg, model, spectra, symmetry
 
 
 def run(capsys, *argv):
@@ -175,6 +175,29 @@ def test_bad_tolerance_exits_two(capsys, tol):
         assert cli.main(argv + [f"--tol={tol}"]) == 2
         err = capsys.readouterr().err
         assert "finite positive" in err
+
+
+def _failed_eig(*args, **kwargs):
+    raise linalg.ConvergenceError("eigenpair residual bound violated", 1.0)
+
+
+def _failed_verification(H, kind, mats):
+    return np.ones(len(mats))
+
+
+@pytest.mark.parametrize("argv, module, name, fake", [
+    (["ep", "--family", "jordan2", "--bracket", "-0.1", "0.1"],
+     spectra, "eig", _failed_eig),
+    (["check", "--preset", "dirac4a", "--discover", "chiral"],
+     symmetry, "_residuals", _failed_verification),
+])
+def test_numerical_failure_exits_three(capsys, monkeypatch, argv, module,
+                                       name, fake):
+    monkeypatch.setattr(module, name, fake)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert err.startswith("error: numerical failure: ")
+    assert "Traceback" not in err
 
 
 def test_check_residuals_survive_huge_parameters(capsys):

@@ -109,6 +109,20 @@ def test_basis16_structure():
     assert all(l.coefficient == 1 for l in labels)
 
 
+def test_basis16_returns_fresh_copies():
+    first, labels = clifford.basis16(), clifford.basis16_labels()
+    for M in first:
+        M[...] = 7
+    first.append(np.eye(4))
+    labels.reverse()
+    labels.clear()
+    again = clifford.basis16()
+    assert len(again) == 16
+    assert [l.indices for l in clifford.basis16_labels()][:2] == [(), (0,)]
+    for M, label in zip(again, clifford.basis16_labels()):
+        assert_array_equal(M, gamma(label.indices))
+
+
 def test_expand_in_basis16_roundtrip():
     rng = np.random.default_rng(5)
     M = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

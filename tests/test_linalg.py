@@ -92,6 +92,13 @@ def test_multiplicities_semisimple():
     assert linalg.multiplicities(H, 2.0) == (1, 1)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-7])
+def test_multiplicities_rejects_bad_tolerance(tol):
+    # a NaN radius used to count nothing: (0, 0) for the identity
+    with pytest.raises(ValueError, match="tol"):
+        linalg.multiplicities(np.eye(2), 1.0, tol=tol)
+
+
 def test_multiplicities_warns_on_borderline_cluster():
     # second eigenvalue lands between tol and 2*tol of the center
     H = np.diag([0.0, 1.5e-7, 1.0])

@@ -272,6 +272,33 @@ def test_load_model_diagnostics(tmp_path):
         model.load_model(path)
 
 
+def test_load_model_accepts_the_documented_keywords(tmp_path):
+    # exactly the keywords the README lists, written by hand
+    path = tmp_path / "hand.model"
+    path.write_text(
+        "name hand-written triangle\n"
+        "n_sites 3\n"
+        "flags non_bipartite\n"
+        "site 0 0.5 -0.25\n"
+        "site 2 0 1\n"
+        "hop 0 1 1.0 0.0\n"
+        "hop 1 2 0.0 2.0\n"
+        "hop 2 0 -1.5 0.5\n"
+    )
+    m = model.load_model(path)
+    assert m.name == "hand-written triangle"
+    assert m.non_bipartite
+    H = np.array([[0.5 - 0.25j, 0, -1.5 + 0.5j],
+                  [1.0, 0, 0],
+                  [0, 2.0j, 1.0j]])
+    assert_allclose(model.to_matrix(m), H, atol=0)
+    # the sublattice column and symmetry lines are not part of the format
+    for extra in ("site 1 0 0 A\n", "symmetry chiral:sublattice\n"):
+        path.write_text("name x\nn_sites 2\n" + extra)
+        with pytest.raises(ValueError, match=r"hand\.model:3"):
+            model.load_model(path)
+
+
 def test_load_model_two_coloring(tmp_path):
     path = tmp_path / "triangle.model"
     body = "name triangle\nn_sites 3\n" + "\n".join(

@@ -31,6 +31,13 @@ def test_classify_validation():
         spectra.classify_spectrum([])
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-8])
+def test_classify_rejects_bad_tolerance(tol):
+    # a NaN tolerance used to report every reflection as broken
+    with pytest.raises(ValueError, match="tol"):
+        spectra.classify_spectrum([1, -1], tol=tol)
+
+
 # --- zero modes -----------------------------------------------------------
 
 def test_zero_modes_kinds():
@@ -80,6 +87,15 @@ def test_ep_validation():
         spectra.ep_locate(spectra.jordan2, (0.2, 0.1))
     with pytest.raises(ValueError):
         spectra.ep_locate(lambda p: np.array([[p]]), (0.0, 1.0))
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-3])
+@pytest.mark.parametrize("name", ["found_tol", "param_tol", "cluster_tol"])
+def test_ep_rejects_bad_tolerance(name, tol):
+    # a NaN found_tol used to report an order-1 exceptional point at
+    # the end of a bracket that holds none
+    with pytest.raises(ValueError, match=name):
+        spectra.ep_locate(spectra.jordan2, (0.5, 1.0), **{name: tol})
 
 
 # --- sweeps ---------------------------------------------------------------

@@ -71,6 +71,59 @@ def test_check_rejects_non_finite_residual():
             check(np.array([[0, bad], [1, 0]]), SymOp(SZ, LINEAR_ANTICOMMUTE))
 
 
+def _unit_scaled_one(A):
+    # the per-matrix rescaling that the stacked one must reproduce exactly
+    peak = max(np.max(np.abs(A.real), initial=0.0),
+               np.max(np.abs(A.imag), initial=0.0))
+    if not 0 < peak < np.inf:
+        return A
+    return A * np.ldexp(1.0, -max(int(np.frexp(peak)[1]), -1021))
+
+
+def test_unit_scaled_stack_matches_per_matrix():
+    rng = np.random.default_rng(3)
+    mats = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            for _ in range(3)]
+    mats[1] = mats[1] * 1e300
+    subnormal = np.zeros((3, 3), dtype=complex)
+    subnormal[0, 1], subnormal[2, 2] = 5e-324, -3e-320j
+    nan_imag = mats[0].copy()
+    nan_imag[1, 2] = complex(1.0, np.nan)  # finite real parts, NaN imaginary
+    mats += [np.zeros((3, 3), dtype=complex), subnormal, nan_imag,
+             np.where(np.eye(3) > 0, np.inf, mats[2]),
+             np.full((3, 3), -0.0 - 0.0j)]
+    stack = np.array(mats)
+    scaled = symmetry._unit_scaled(stack)
+    for A, got in zip(stack, scaled):
+        want = _unit_scaled_one(A)
+        assert got.tobytes() == want.tobytes()
+        assert symmetry._unit_scaled(A).tobytes() == want.tobytes()
+    assert symmetry._unit_scaled(stack[:0]).shape == (0, 3, 3)
+
+
+def _residual_one(H, kind, M):
+    # the per-operator residual that the stacked one must reproduce
+    H, M = _unit_scaled_one(H), _unit_scaled_one(M)
+    R = symmetry.RELATIONS[kind].residual(H, M)
+    denom = np.linalg.norm(H) * np.linalg.norm(M)
+    return 0.0 if denom == 0 else np.linalg.norm(R) / denom
+
+
+def test_stacked_residuals_match_per_operator_across_blocks():
+    rng = np.random.default_rng(4)
+    H = 1e200 * (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    k = 2 * symmetry.VERIFY_BLOCK + 3
+    mats = rng.normal(size=(k, 5, 5)) + 1j * rng.normal(size=(k, 5, 5))
+    mats[k // 2] = 0
+    for kind in symmetry.KINDS:
+        got = symmetry._residuals(H, kind, mats)
+        assert got[k // 2] == 0.0
+        # equal up to rounding: BLAS may round differently with the
+        # alignment of an operator inside the stack
+        assert_allclose(got, [_residual_one(H, kind, M) for M in mats],
+                        rtol=1e-14, atol=0)
+
+
 def test_symop_validation():
     with pytest.raises(ValueError):
         SymOp(SZ, "mystery")
@@ -296,6 +349,48 @@ def test_discover_jordan_block_takes_dense_fallback(monkeypatch):
         assert check(J, op) == 0.0
         assert op.matrix[1, 0] == 0
         assert op.matrix[0, 0] == -op.matrix[1, 1]
+
+
+def test_discover_without_matched_pair_skips_the_dyad_work(monkeypatch):
+    def no_verification(*args):
+        raise AssertionError("nothing to verify")
+
+    monkeypatch.setattr(symmetry, "_residuals", no_verification)
+    # positive real and imaginary parts: no lam_i + lam_j, lam_i + conj(lam_j)
+    # or lam_i - conj(lam_j) vanishes
+    lam = np.array([1 + 1j, 2 + 3j, 3 + 0.5j, 0.5 + 2j])
+    V = np.random.default_rng(6).normal(size=(4, 4)) + 1j
+    H = V @ np.diag(lam) @ np.linalg.inv(V)
+    for relation in symmetry.DISCOVER_RELATIONS:
+        assert symmetry.discover(H, relation) == []
+
+
+def test_discover_failed_dyad_falls_back_to_dense_kernel(monkeypatch):
+    residuals, nullspace = symmetry._residuals, symmetry.nullspace
+    residual_calls, nullspace_shapes = [], []
+
+    def first_stack_fails(H, kind, mats):
+        residual_calls.append(len(mats))
+        r = residuals(H, kind, mats)
+        return r + 1.0 if len(residual_calls) == 1 else r
+
+    def recording_nullspace(M, tol):
+        nullspace_shapes.append(M.shape)
+        return nullspace(M, tol)
+
+    monkeypatch.setattr(symmetry, "_residuals", first_stack_fails)
+    monkeypatch.setattr(symmetry, "nullspace", recording_nullspace)
+    rng = np.random.default_rng(9)
+    V = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    H = V @ np.diag([2.0, -2.0, 0.7]) @ np.linalg.inv(V)
+    ops = symmetry.discover(H, "chiral")
+    # the spectral path verified its two dyads in one stack and failed;
+    # the dense kernel over the 9 unit matrices found the same dimension
+    assert residual_calls == [2, 2]
+    assert nullspace_shapes == [(9, 9)]
+    assert len(ops) == 2
+    for op in ops:
+        assert check(H, op) <= 1e-9
 
 
 def test_discover_defective_above_dense_limit_refused():
