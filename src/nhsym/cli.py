@@ -28,9 +28,18 @@ import numpy as np
 
 from . import clifford, model as model_mod, spectra, symmetry
 
-PRESETS = ("dirac4a", "dirac4b", "rt-wheel", "pyramid-nochiral",
-           "pyramid-chiral", "flake", "chain")
-FIG_TAGS = ("1b", "2b", "2c", "4c", "4d", "5b")
+# by --preset name; each entry looks its builder up in model_mod when it runs
+PRESETS = {
+    "dirac4a": lambda a: model_mod.dirac4("a", a.g1, a.g2),
+    "dirac4b": lambda a: model_mod.dirac4("b", a.g1, a.g2),
+    "rt-wheel": lambda a: model_mod.rt_wheel(a.beta, a.g1, a.g2),
+    "pyramid-nochiral": lambda a: model_mod.pyramid("nochiral", a.g1, a.g2,
+                                                    a.g3),
+    "pyramid-chiral": lambda a: model_mod.pyramid("chiral", a.g1, a.g2, a.g3),
+    "flake": lambda a: model_mod.honeycomb_flake(a.g, a.tau),
+    "chain": lambda a: model_mod.mirror_chain(a.delta),
+}
+FIG_TAGS = tuple(spectra.PROTOCOLS)
 
 
 def _complex(text: str) -> complex:
@@ -61,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("check", help="verify or discover symmetry operators")
     src = pc.add_mutually_exclusive_group(required=True)
-    src.add_argument("--preset", choices=PRESETS, help="bundled model")
+    src.add_argument("--preset", choices=tuple(PRESETS), help="bundled model")
     src.add_argument("--file", help="model file to load")
     pc.add_argument("--g1", type=_complex, default=1 + 0j)
     pc.add_argument("--g2", type=_complex, default=0.5 + 0j)
@@ -104,22 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolve_model(args) -> model_mod.Model:
     if args.file is not None:
         return model_mod.load_model(args.file)
-    name = args.preset
-    if name == "dirac4a":
-        return model_mod.dirac4("a", args.g1, args.g2)
-    if name == "dirac4b":
-        return model_mod.dirac4("b", args.g1, args.g2)
-    if name == "rt-wheel":
-        return model_mod.rt_wheel(args.beta, args.g1, args.g2)
-    if name == "pyramid-nochiral":
-        return model_mod.pyramid("nochiral", args.g1, args.g2, args.g3)
-    if name == "pyramid-chiral":
-        return model_mod.pyramid("chiral", args.g1, args.g2, args.g3)
-    if name == "flake":
-        return model_mod.honeycomb_flake(args.g, args.tau)
-    if name == "chain":
-        return model_mod.mirror_chain(args.delta)
-    raise ValueError(f"unknown preset {name!r}")
+    return PRESETS[args.preset](args)
 
 
 def _load_operator(source: str, kind: str, n_sites: int) -> symmetry.SymOp:

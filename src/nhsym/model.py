@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import clifford
+from . import _records, clifford
 from .clifford import GammaExpr, GammaLabel, format_expr, gamma
 
 SUBLATTICES = ("A", "B", "none")
@@ -451,6 +451,9 @@ def chain_parity(n_a: int, n_b: int) -> np.ndarray:
     return _permutation_matrix(mapping, n)
 
 
+LATTICE_TOKENS = ("sublattice", "mirror1", "mirror2", "mirror3", "parity")
+
+
 def lattice_operator(m: Model, token: str) -> np.ndarray:
     """Resolve a lattice operator token for a model.
 
@@ -458,19 +461,19 @@ def lattice_operator(m: Model, token: str) -> np.ndarray:
     ``mirror2`` / ``mirror3`` (flake reflections), ``parity`` (chain
     reversal).
     """
+    if token not in LATTICE_TOKENS:
+        raise ValueError(f"unknown lattice operator token {token!r}")
     if token == "sublattice":
         if "none" in m.sublattice:
             raise ValueError(f"model {m.name!r} has unlabeled sites")
         return np.diag([1.0 + 0j if lab == "A" else -1.0 for lab in m.sublattice])
-    if token in ("mirror1", "mirror2", "mirror3"):
-        if m.n_sites != FLAKE_N:
-            raise ValueError(f"{token} is a flake operator; model has {m.n_sites} sites")
-        return flake_mirror(int(token[-1]))
     if token == "parity":
         n_a = sum(1 for lab in m.sublattice if lab == "A")
         n_b = sum(1 for lab in m.sublattice if lab == "B")
         return chain_parity(n_a, n_b)
-    raise ValueError(f"unknown lattice operator token {token!r}")
+    if m.n_sites != FLAKE_N:
+        raise ValueError(f"{token} is a flake operator; model has {m.n_sites} sites")
+    return flake_mirror(int(token[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -510,15 +513,22 @@ def save_model(m: Model, path) -> None:
     Sublattice labels and symmetry hints are not stored; labels are
     recovered on load by two-coloring the coupling graph.
     """
-    lines = [f"name {m.name}", f"n_sites {m.n_sites}"]
-    if m.non_bipartite:
-        lines.append("flags non_bipartite")
-    for idx, v in enumerate(m.onsite):
-        lines.append(f"site {idx} {v.real:.17g} {v.imag:.17g}")
-    for i, j, amp in m.couplings:
-        lines.append(f"hop {i} {j} {amp.real:.17g} {amp.imag:.17g}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _records.write(
+        path, [("name", m.name), ("n_sites", m.n_sites)],
+        ["non_bipartite"] if m.non_bipartite else [],
+        [("site", (idx,), v) for idx, v in enumerate(m.onsite)]
+        + [("hop", (i, j), amp) for i, j, amp in m.couplings],
+    )
+
+
+def _no_self_coupling(key: str, idx: tuple) -> None:
+    if key == "hop" and idx[0] == idx[1]:
+        raise ValueError(f"self-coupling on site {idx[0]}; "
+                         "use a site line instead")
+
+
+_KEYWORDS = {"name": str, "n_sites": int, "flags": ("non_bipartite",),
+             "site": 1, "hop": 2}
 
 
 def load_model(path) -> Model:
@@ -536,88 +546,18 @@ def load_model(path) -> Model:
     ValueError
         On malformed input, with the file line number in the message.
     """
-    name = None
-    n_sites = None
-    flags: set = set()
-    onsite: dict = {}
-    hops: list = []
-    with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = fh.readlines()
-    for ln, raw in enumerate(raw_lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        key = parts[0]
-
-        def fail(msg):
-            raise ValueError(f"{path}:{ln}: {msg}")
-
-        if key == "name":
-            if name is not None:
-                fail("duplicate name line")
-            name = line[len("name"):].strip()
-            if not name:
-                fail("empty name")
-        elif key == "n_sites":
-            if n_sites is not None:
-                fail("duplicate n_sites line")
-            try:
-                n_sites = int(parts[1])
-            except (IndexError, ValueError):
-                fail(f"bad n_sites line {line!r}")
-        elif key == "flags":
-            for tok in parts[1:]:
-                if tok != "non_bipartite":
-                    fail(f"unknown flag {tok!r}")
-                flags.add(tok)
-        elif key == "site":
-            if n_sites is None:
-                fail("site line before n_sites")
-            if len(parts) != 4:
-                fail(f"site line needs 3 fields, got {len(parts) - 1}")
-            try:
-                idx = int(parts[1])
-                val = complex(float(parts[2]), float(parts[3]))
-            except ValueError:
-                fail(f"bad site fields {parts[1:]!r}")
-            if not (0 <= idx < n_sites):
-                fail(f"site index {idx} out of range")
-            if idx in onsite:
-                fail(f"duplicate site line for index {idx}")
-            onsite[idx] = val
-        elif key == "hop":
-            if n_sites is None:
-                fail("hop line before n_sites")
-            if len(parts) != 5:
-                fail(f"hop line needs 4 fields, got {len(parts) - 1}")
-            try:
-                i, j = int(parts[1]), int(parts[2])
-                amp = complex(float(parts[3]), float(parts[4]))
-            except ValueError:
-                fail(f"bad hop fields {parts[1:]!r}")
-            if not (0 <= i < n_sites and 0 <= j < n_sites):
-                fail(f"hop endpoints ({i}, {j}) out of range")
-            if i == j:
-                fail(f"self-coupling on site {i}; use a site line instead")
-            if any(i == i0 and j == j0 for i0, j0, _ in hops):
-                fail(f"duplicate hop line for ordered pair ({i}, {j})")
-            hops.append((i, j, amp))
-        else:
-            fail(f"unknown keyword {key!r}")
-    if name is None:
-        raise ValueError(f"{path}: missing name line")
-    if n_sites is None:
-        raise ValueError(f"{path}: missing n_sites line")
-    non_bipartite = "non_bipartite" in flags
+    rec = _records.read(path, _KEYWORDS, _no_self_coupling)
+    n_sites = rec["n_sites"]
+    hops = [(i, j, amp) for (i, j), amp in rec["hop"].items()]
+    non_bipartite = "non_bipartite" in rec["flags"]
     if non_bipartite:
         labels = ["none"] * n_sites
     else:
         labels = _two_color(n_sites, hops, path)
     return Model(
-        name=name,
+        name=rec["name"],
         n_sites=n_sites,
-        onsite=tuple(onsite.get(i, 0j) for i in range(n_sites)),
+        onsite=tuple(rec["site"].get((i,), 0j) for i in range(n_sites)),
         couplings=tuple(hops),
         sublattice=tuple(labels),
         symmetry_hints=(),

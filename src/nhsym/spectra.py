@@ -157,11 +157,11 @@ def ep_locate(family: Callable[[float], np.ndarray], bracket,
     A 41-point scan over the bracket seeds a golden-section minimization of
     the second-smallest distance |eps - target| (second-smallest so that a
     symmetry-protected mode already sitting at the target does not mask the
-    coalescence).  The parameter is refined to within ``param_tol``; the
-    point counts as found when the minimized distance is at most
-    ``found_tol``.  Multiplicities are then measured with a cluster radius
-    of ``cluster_tol`` (default: five times the residual spread, floored at
-    1e-7 ||H||).  Every tolerance given must be finite and positive.
+    coalescence).  The parameter is refined to within ``param_tol`` (or to
+    adjacent floats); the point counts as found when the minimized distance
+    is at most ``found_tol``.  Multiplicities are then measured with a
+    cluster radius of ``cluster_tol`` (default: five times the residual
+    spread, floored at 1e-7 ||H||).  Every tolerance must be finite and > 0.
     """
     _require_tol(param_tol, "param_tol")
     _require_tol(found_tol, "found_tol")
@@ -191,10 +191,14 @@ def ep_locate(family: Callable[[float], np.ndarray], bracket,
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - invphi * (hi - lo)
+            if not lo < x1 < hi:
+                break
             f1 = spread(x1)
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + invphi * (hi - lo)
+            if not lo < x2 < hi:
+                break
             f2 = spread(x2)
     p_hat = (lo + hi) / 2.0
     s_hat = spread(p_hat)
@@ -449,8 +453,37 @@ class Protocol:
         return model_mod.to_matrix(self.model_at(p))
 
 
+# by tag; each family looks its builder up in model_mod when it runs
+PROTOCOLS = {p.tag: p for p in (
+    Protocol("1b", "tau", 0.0, 2.0,
+             lambda t: model_mod.honeycomb_flake(1.0, t),
+             ("origin", "real", "imag")),
+    Protocol("2b", "s", 0.0, 2.0,
+             lambda s: model_mod.rt_wheel(0.75, 1.0 + 1j * s, 1.5 + 1j * s),
+             ("origin", "real", "imag")),
+    Protocol("2c", "s", 0.0, 2.0,
+             lambda s: model_mod.rt_wheel(0.75 - 0.1j, 1.0 + 1j * s,
+                                          1.5 + 1j * s),
+             ("origin",)),
+    Protocol("4c", "alpha", 0.0, 2.0,
+             lambda a: model_mod.pyramid(
+                 "chiral", 1.0, 1.0, 0.8,
+                 detunings=(((3, 5), a * np.exp(1j * np.pi / 4)),)),
+             ("origin",)),
+    Protocol("4d", "alpha", 0.0, 2.0,
+             lambda a: model_mod.pyramid(
+                 "chiral", 1.0, 1.0, 0.8,
+                 detunings=(((3, 5), a * np.exp(1j * np.pi / 4)),
+                            ((1, 2), a * np.exp(1j * np.pi / 3)))),
+             ("origin",)),
+    Protocol("5b", "delta", 0.0, float(abs(model_mod.CHAIN_COUPLING)),
+             lambda d: model_mod.mirror_chain(d),
+             ("origin", "real", "imag")),
+)}
+
+
 def protocol(tag: str) -> Protocol:
-    """Named sweep protocols for the bundled models.
+    """Named sweep protocols for the bundled models (``PROTOCOLS``).
 
     ========  ==========================================================
     tag       family
@@ -463,38 +496,6 @@ def protocol(tag: str) -> Protocol:
     5b        mirror chain, delta in [0, |coupling|]
     ========  ==========================================================
     """
-    if tag == "1b":
-        return Protocol("1b", "tau", 0.0, 2.0,
-                        lambda t: model_mod.honeycomb_flake(1.0, t),
-                        ("origin", "real", "imag"))
-    if tag == "2b":
-        return Protocol("2b", "s", 0.0, 2.0,
-                        lambda s: model_mod.rt_wheel(0.75, 1.0 + 1j * s,
-                                                     1.5 + 1j * s),
-                        ("origin", "real", "imag"))
-    if tag == "2c":
-        return Protocol("2c", "s", 0.0, 2.0,
-                        lambda s: model_mod.rt_wheel(0.75 - 0.1j, 1.0 + 1j * s,
-                                                     1.5 + 1j * s),
-                        ("origin",))
-    if tag == "4c":
-        return Protocol(
-            "4c", "alpha", 0.0, 2.0,
-            lambda a: model_mod.pyramid(
-                "chiral", 1.0, 1.0, 0.8,
-                detunings=(((3, 5), a * np.exp(1j * np.pi / 4)),)),
-            ("origin",))
-    if tag == "4d":
-        return Protocol(
-            "4d", "alpha", 0.0, 2.0,
-            lambda a: model_mod.pyramid(
-                "chiral", 1.0, 1.0, 0.8,
-                detunings=(((3, 5), a * np.exp(1j * np.pi / 4)),
-                           ((1, 2), a * np.exp(1j * np.pi / 3)))),
-            ("origin",))
-    if tag == "5b":
-        hi = float(abs(model_mod.CHAIN_COUPLING))
-        return Protocol("5b", "delta", 0.0, hi,
-                        lambda d: model_mod.mirror_chain(d),
-                        ("origin", "real", "imag"))
-    raise ValueError(f"unknown protocol tag {tag!r}")
+    if tag not in PROTOCOLS:
+        raise ValueError(f"unknown protocol tag {tag!r}")
+    return PROTOCOLS[tag]

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import clifford, model as model_mod
+from . import _records, clifford, model as model_mod
 from .linalg import _as_square, _require_tol, nullspace
 
 LINEAR_ANTICOMMUTE = "linear_anticommute"
@@ -99,9 +99,6 @@ _DISCOVER_KINDS = {rel.discover_name: kind for kind, rel in RELATIONS.items()
                    if rel.discover_name is not None}
 DISCOVER_RELATIONS = tuple(sorted(_DISCOVER_KINDS))
 
-# kinds whose defining relation conjugates the operator by an inverse
-_INVERTIBLE_KINDS = (TRANSPOSE_MINUS, DAGGER_PLUS, DAGGER_MINUS)
-
 COND_MAX = 1e8
 PASS_TOL = 1e-10
 
@@ -137,7 +134,8 @@ class SymOp:
         if not np.all(np.isfinite(M)):
             raise ValueError("operator has non-finite entries")
         object.__setattr__(self, "matrix", M)
-        if self.kind in _INVERTIBLE_KINDS and not self.allow_singular:
+        # the transpose and dagger relations conjugate by the inverse
+        if RELATIONS[self.kind].transpose and not self.allow_singular:
             cond = np.linalg.cond(M)
             if not cond <= COND_MAX:
                 raise ValueError(
@@ -463,9 +461,6 @@ def _coefficient_label(c, labels) -> str:
     return " + ".join(f"({coeff:.6g})*{lab}" for lab, coeff in terms)
 
 
-_LATTICE_TOKENS = ("sublattice", "mirror1", "mirror2", "mirror3", "parity")
-
-
 def named_operator(m, hint: str) -> SymOp:
     """Resolve a model's symmetry hint string to a concrete operator.
 
@@ -480,7 +475,7 @@ def named_operator(m, hint: str) -> SymOp:
         raise ValueError(f"bad hint {hint!r}")
     kind = _HINT_KINDS[kind_token]
     tokens = [t.strip() for t in opspec.split("*")]
-    if all(t in _LATTICE_TOKENS for t in tokens):
+    if all(t in model_mod.LATTICE_TOKENS for t in tokens):
         M = np.eye(m.n_sites, dtype=complex)
         for t in tokens:
             M = M @ model_mod.lattice_operator(m, t)
@@ -600,59 +595,22 @@ def pseudo_properties(H, eta, commuting=(), tol: float = PASS_TOL) -> PseudoRepo
 
 def save_op(op: SymOp, path) -> None:
     """Write an operator file: kind, dimension, then nonzero entries."""
-    n = op.matrix.shape[0]
-    lines = [f"kind {op.kind}", f"dim {n}"]
-    if op.allow_singular:
-        lines.append("flags allow_singular")
-    for i in range(n):
-        for j in range(n):
-            v = op.matrix[i, j]
-            if v != 0:
-                lines.append(f"entry {i} {j} {v.real:.17g} {v.imag:.17g}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    M = op.matrix
+    _records.write(
+        path, [("kind", op.kind), ("dim", M.shape[0])],
+        ["allow_singular"] if op.allow_singular else [],
+        [("entry", (i, j), M[i, j]) for i, j in zip(*np.nonzero(M))],
+    )
+
+
+_KEYWORDS = {"kind": KINDS, "dim": int, "flags": ("allow_singular",),
+             "entry": 2}
 
 
 def load_op(path) -> SymOp:
-    """Read an operator file written by :func:`save_op`."""
-    kind = None
-    dim = None
-    allow_singular = False
-    entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = fh.readlines()
-    for ln, raw in enumerate(raw_lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "kind":
-            kind = parts[1] if len(parts) == 2 else None
-            if kind not in KINDS:
-                raise ValueError(f"{path}:{ln}: unknown kind in {line!r}")
-        elif parts[0] == "dim":
-            try:
-                dim = int(parts[1])
-            except (IndexError, ValueError):
-                raise ValueError(f"{path}:{ln}: bad dim line {line!r}") from None
-        elif parts[0] == "flags":
-            allow_singular = "allow_singular" in parts[1:]
-        elif parts[0] == "entry":
-            if dim is None:
-                raise ValueError(f"{path}:{ln}: entry line before dim")
-            try:
-                i, j = int(parts[1]), int(parts[2])
-                v = complex(float(parts[3]), float(parts[4]))
-            except (IndexError, ValueError):
-                raise ValueError(f"{path}:{ln}: bad entry line {line!r}") from None
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise ValueError(f"{path}:{ln}: entry ({i}, {j}) out of range")
-            entries.append((i, j, v))
-        else:
-            raise ValueError(f"{path}:{ln}: unknown keyword {parts[0]!r}")
-    if kind is None or dim is None:
-        raise ValueError(f"{path}: missing kind or dim line")
-    M = np.zeros((dim, dim), dtype=complex)
-    for i, j, v in entries:
+    """Read an operator file written by :func:`save_op` (or by hand)."""
+    rec = _records.read(path, _KEYWORDS)
+    M = np.zeros((rec["dim"], rec["dim"]), dtype=complex)
+    for (i, j), v in rec["entry"].items():
         M[i, j] = v
-    return SymOp(M, kind, allow_singular=allow_singular)
+    return SymOp(M, rec["kind"], allow_singular="allow_singular" in rec["flags"])

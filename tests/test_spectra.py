@@ -89,6 +89,22 @@ def test_ep_validation():
         spectra.ep_locate(lambda p: np.array([[p]]), (0.0, 1.0))
 
 
+def test_ep_param_tol_below_float_spacing_returns():
+    # the golden-section bracket cannot shrink below adjacent floats; the
+    # search used to loop there for ever, so the family counts its calls
+    calls = []
+
+    def family(p):
+        calls.append(p)
+        if len(calls) > 1000:
+            raise RuntimeError("ep_locate does not terminate")
+        return spectra.jordan2(p)
+
+    rep = spectra.ep_locate(family, (0.5, 1.0), param_tol=1e-300)
+    assert not rep.found
+    assert rep.parameter == pytest.approx(0.5)
+
+
 @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-3])
 @pytest.mark.parametrize("name", ["found_tol", "param_tol", "cluster_tol"])
 def test_ep_rejects_bad_tolerance(name, tol):
