@@ -44,9 +44,24 @@ FIG_TAGS = tuple(spectra.PROTOCOLS)
 
 def _complex(text: str) -> complex:
     try:
-        return complex(text.strip().replace("i", "j"))
+        value = complex(text.strip().replace("i", "j"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad complex number {text!r}") from None
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"complex number must be finite, got {text!r}")
+    return value
+
+
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"number must be finite, got {text!r}")
+    return value
 
 
 def _tolerance(text: str) -> float:
@@ -76,9 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--g2", type=_complex, default=0.5 + 0j)
     pc.add_argument("--g3", type=_complex, default=0.8 + 0j)
     pc.add_argument("--beta", type=_complex, default=0.75 + 0j)
-    pc.add_argument("--g", type=float, default=1.0, help="flake coupling")
-    pc.add_argument("--tau", type=float, default=0.0, help="flake gain/loss")
-    pc.add_argument("--delta", type=float, default=0.0, help="chain detuning")
+    pc.add_argument("--g", type=_finite, default=1.0, help="flake coupling")
+    pc.add_argument("--tau", type=_finite, default=0.0, help="flake gain/loss")
+    pc.add_argument("--delta", type=_finite, default=0.0, help="chain detuning")
     pc.add_argument("--op", help="operator: generator expression or file")
     pc.add_argument("--kind", choices=symmetry.KINDS,
                     default=symmetry.LINEAR_ANTICOMMUTE,
@@ -101,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="built-in matrix family")
     fam.add_argument("--fig", choices=FIG_TAGS,
                      help="use a figure protocol's family")
-    pe.add_argument("--bracket", type=float, nargs=2, required=True,
+    pe.add_argument("--bracket", type=_finite, nargs=2, required=True,
                     metavar=("LO", "HI"))
     pe.add_argument("--target", type=_complex, default=0j,
                     help="coalescence point in the eigenvalue plane")
@@ -177,13 +192,9 @@ def cmd_sweep(args) -> int:
     proto = spectra.protocol(args.fig)
     result = spectra.sweep(proto.matrix_at, proto.lo, proto.hi,
                            n_steps=args.steps, param_name=proto.param_name)
-    worst = {axis: 0.0 for axis in proto.symmetric}
-    for step in result.steps:
-        cls = spectra.classify_spectrum(step.eigenvalues, tol=args.tol)
-        defects = {"origin": cls.origin, "real": cls.real_axis,
-                   "imag": cls.imag_axis}
-        for axis in proto.symmetric:
-            worst[axis] = max(worst[axis], defects[axis])
+    worst = {axis: max(spectra.reflection_defect(step.eigenvalues, axis)
+                       for step in result.steps)
+             for axis in proto.symmetric}
     print(f"sweep {proto.tag}: {args.steps} steps of {proto.param_name} "
           f"in [{proto.lo:g}, {proto.hi:g}]")
     bad = 0

@@ -73,14 +73,14 @@ def _require_tol(tol, name: str = "tol") -> None:
 
 def _fix_phase(vectors: np.ndarray) -> np.ndarray:
     """Scale each column so its largest-magnitude entry is real positive."""
-    out = vectors.copy()
-    for col in range(out.shape[1]):
-        v = out[:, col]
-        k = int(np.argmax(np.abs(v)))
-        pivot = v[k]
-        if pivot != 0:
-            out[:, col] = v * (np.conj(pivot) / abs(pivot))
-    return out
+    if vectors.size == 0:
+        return vectors.copy()
+    pivots = vectors[np.argmax(np.abs(vectors), axis=0),
+                     np.arange(vectors.shape[1])]
+    size = np.abs(pivots)
+    phases = np.divide(np.conj(pivots), size, out=np.ones_like(pivots),
+                       where=size != 0)
+    return vectors * phases
 
 
 def eig(H, tol: float = TOL_EIG) -> EigenSystem:

@@ -32,7 +32,8 @@ class Model:
     Fields
     ------
     name : str
-        Identifier, single line.
+        Identifier: one nonempty line, no ``#``, no surrounding
+        whitespace.
     n_sites : int
         Number of sites.
     onsite : tuple of complex
@@ -58,8 +59,12 @@ class Model:
     non_bipartite: bool = False
 
     def __post_init__(self):
-        if "\n" in self.name:
-            raise ValueError("model name must be a single line")
+        # the name has to survive a save_model -> load_model round trip
+        if (self.name.splitlines() != [self.name] or "#" in self.name
+                or self.name != self.name.strip()):
+            raise ValueError(
+                "model name must be one nonempty line without '#' or "
+                f"surrounding whitespace, got {self.name!r}")
         if self.n_sites < 1:
             raise ValueError("n_sites must be positive")
         if len(self.onsite) != self.n_sites:

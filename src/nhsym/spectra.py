@@ -22,6 +22,7 @@ from .linalg import _require_tol, eig, multiplicities
 CLASSIFY_TOL = 1e-8
 ZERO_FLAG_TOL = 1e-8
 DEGENERACY_TOL = 1e-6
+MAX_STEPS = 100_000
 # eigenvalue-pair dip depth (relative to spectral radius) worth refining,
 # the shrink factor a refined dip must beat, and the eigenvector overlap
 # that separates coalescence from a symmetry-allowed crossing
@@ -29,21 +30,23 @@ EP_DIP = 0.05
 EP_CONFIRM = 0.6
 EP_OVERLAP = 0.9
 
-_AXES = ("origin", "real", "imag")
+# the image of a spectrum under each reflection a symmetry can force on
+# it: through the origin, about the real axis, about the imaginary axis
+REFLECTIONS = {
+    "origin": np.negative,
+    "real": np.conj,
+    "imag": lambda values: -np.conj(values),
+}
 
 
-def _image(values, axis):
-    if axis == "origin":
-        return -values
-    if axis == "real":
-        return np.conj(values)
-    if axis == "imag":
-        return -np.conj(values)
-    raise ValueError(f"unknown axis {axis!r}; expected one of {_AXES}")
-
-
-def _matching_defect(values, images) -> float:
-    cost = np.abs(values[:, None] - images[None, :])
+def reflection_defect(values, axis: str) -> float:
+    """Largest distance in the optimal pairing of an eigenvalue multiset
+    with its image under the reflection ``REFLECTIONS[axis]``."""
+    if axis not in REFLECTIONS:
+        raise ValueError(
+            f"unknown axis {axis!r}; expected one of {tuple(REFLECTIONS)}")
+    values = np.asarray(values, dtype=complex).ravel()
+    cost = np.abs(values[:, None] - REFLECTIONS[axis](values)[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
 
@@ -52,9 +55,9 @@ def _matching_defect(values, images) -> float:
 class SpectrumSymmetry:
     """Reflection defects of an eigenvalue multiset.
 
-    Each field is the largest matching distance when the multiset is
-    paired with its image under the reflection; a defect at most ``tol``
-    means the symmetry holds.
+    Each field is the :func:`reflection_defect` of one ``REFLECTIONS``
+    axis, in table order; a defect at most ``tol`` means the symmetry
+    holds.
     """
 
     origin: float
@@ -63,14 +66,9 @@ class SpectrumSymmetry:
     tol: float
 
     def held(self) -> tuple[str, ...]:
-        out = []
-        if self.origin <= self.tol:
-            out.append("origin")
-        if self.real_axis <= self.tol:
-            out.append("real")
-        if self.imag_axis <= self.tol:
-            out.append("imag")
-        return tuple(out)
+        defects = (self.origin, self.real_axis, self.imag_axis)
+        return tuple(axis for axis, defect in zip(REFLECTIONS, defects)
+                     if defect <= self.tol)
 
 
 def classify_spectrum(values, tol: float = CLASSIFY_TOL) -> SpectrumSymmetry:
@@ -82,11 +80,7 @@ def classify_spectrum(values, tol: float = CLASSIFY_TOL) -> SpectrumSymmetry:
     if values.size == 0:
         raise ValueError("empty spectrum")
     return SpectrumSymmetry(
-        origin=_matching_defect(values, _image(values, "origin")),
-        real_axis=_matching_defect(values, _image(values, "real")),
-        imag_axis=_matching_defect(values, _image(values, "imag")),
-        tol=tol,
-    )
+        *(reflection_defect(values, axis) for axis in REFLECTIONS), tol=tol)
 
 
 @dataclass(frozen=True)
@@ -167,6 +161,8 @@ def ep_locate(family: Callable[[float], np.ndarray], bracket,
     _require_tol(found_tol, "found_tol")
     if cluster_tol is not None:
         _require_tol(cluster_tol, "cluster_tol")
+    if not np.isfinite(target):
+        raise ValueError(f"target must be finite, got {target!r}")
     a, b = float(bracket[0]), float(bracket[1])
     if not a < b:
         raise ValueError(f"bracket must satisfy lo < hi, got ({a}, {b})")
@@ -249,37 +245,20 @@ class SweepResult:
     events: tuple[SweepEvent, ...]
 
 
-def _segment_miss(z1: complex, z2: complex) -> float:
-    """Distance from the origin to the segment between two complex points."""
+def _origin_distance(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """Distance from the origin to each segment from ``z1`` to ``z2``,
+    elementwise over complex arrays of one shape."""
     dz = z2 - z1
-    length2 = abs(dz) ** 2
-    if length2 == 0:
-        return abs(z1)
-    t = -np.real(np.conj(dz) * z1) / length2
-    t = min(max(t, 0.0), 1.0)
-    return abs(z1 + t * dz)
-
-
-def _mode_flags(values) -> tuple[str, ...]:
-    n = values.size
-    flags = []
-    for i in range(n):
-        s = ""
-        if abs(values[i]) <= ZERO_FLAG_TOL:
-            s += "Z"
-        elif abs(values[i].real) <= ZERO_FLAG_TOL:
-            s += "I"
-        others = np.abs(values - values[i])
-        others[i] = np.inf
-        if others.min() <= DEGENERACY_TOL:
-            s += "D"
-        flags.append(s)
-    return tuple(flags)
+    length2 = np.abs(dz) ** 2
+    t = np.divide(-np.real(np.conj(dz) * z1), length2,
+                  out=np.zeros_like(length2), where=length2 != 0)
+    return np.abs(z1 + np.clip(t, 0.0, 1.0) * dz)
 
 
 def sweep(family: Callable[[float], np.ndarray], lo: float, hi: float,
           n_steps: int = 400, param_name: str = "param") -> SweepResult:
-    """Track eigenvalues of ``family(p)`` across ``n_steps`` parameters.
+    """Track eigenvalues of ``family(p)`` across ``n_steps`` parameters
+    (2 to ``MAX_STEPS``).
 
     Mode identity is kept by minimum-total-distance assignment between
     consecutive spectra.  Exactly degenerate trajectories stay flat and
@@ -289,6 +268,8 @@ def sweep(family: Callable[[float], np.ndarray], lo: float, hi: float,
     """
     if n_steps < 2:
         raise ValueError("n_steps must be at least 2")
+    if n_steps > MAX_STEPS:
+        raise ValueError(f"n_steps exceeds the limit ({n_steps} > {MAX_STEPS})")
     params = np.linspace(float(lo), float(hi), n_steps)
     rows = []
     prev = None
@@ -303,45 +284,45 @@ def sweep(family: Callable[[float], np.ndarray], lo: float, hi: float,
     traj = np.array(rows)
     n = traj.shape[1]
 
-    steps = tuple(
-        SweepStep(float(params[k]), traj[k].copy(), _mode_flags(traj[k]))
-        for k in range(n_steps)
-    )
+    # per-step, per-mode flags as (steps, n) masks; D one mode at a time,
+    # so no (steps, n, n) array is formed
+    mag = np.abs(traj)
+    zero = mag <= ZERO_FLAG_TOL
+    imag = np.abs(traj.real) <= ZERO_FLAG_TOL
+    degen = np.empty_like(zero)
+    for i in range(n):
+        gap = np.abs(traj - traj[:, i:i + 1])
+        gap[:, i] = np.inf
+        degen[:, i] = gap.min(axis=1) <= DEGENERACY_TOL
+    flags = (np.where(zero, "Z", np.where(imag, "I", "")).astype(object)
+             + np.where(degen, "D", "")).tolist()
+    steps = tuple(SweepStep(float(p), v.copy(), tuple(f))
+                  for p, v, f in zip(params, traj, flags))
 
-    amax = float(np.abs(traj).max())
-    events: list[SweepEvent] = []
-    count_z = [sum(1 for f in s.flags if "Z" in f) for s in steps]
-    count_d = [sum(1 for f in s.flags if "D" in f) for s in steps]
-    for k in range(1, n_steps):
-        crossing = count_z[k] != count_z[k - 1]
-        if not crossing:
-            # an unpinned trajectory sweeping straight through the origin
-            # between grid points never changes the zero count
-            for i in range(n):
-                z1, z2 = traj[k - 1, i], traj[k, i]
-                if abs(z1) <= ZERO_FLAG_TOL and abs(z2) <= ZERO_FLAG_TOL:
-                    continue
-                if _segment_miss(z1, z2) <= 1e-9 * max(amax, 1e-300):
-                    crossing = True
-                    break
-        if crossing:
-            events.append(SweepEvent(k, float(params[k]), "zero_crossing"))
-        if count_d[k] != count_d[k - 1]:
-            events.append(SweepEvent(k, float(params[k]), "degeneracy"))
+    amax = max(float(mag.max()), 1e-300)
+    count_z = zero.sum(axis=1)
+    count_d = degen.sum(axis=1)
+    # an unpinned trajectory sweeping straight through the origin between
+    # grid points never changes the zero count
+    passes = ((_origin_distance(traj[:-1], traj[1:]) <= 1e-9 * amax)
+              & ~(zero[:-1] & zero[1:]))
+    found = {"zero_crossing": (count_z[1:] != count_z[:-1]) | passes.any(axis=1),
+             "degeneracy": count_d[1:] != count_d[:-1]}
+    events = [SweepEvent(int(k), float(params[k]), kind)
+              for kind, hit in found.items() for k in np.flatnonzero(hit) + 1]
 
-    threshold = EP_DIP * max(amax, 1e-300)
+    threshold = EP_DIP * amax
     ep_steps = set()
     for i in range(n):
         for j in range(i + 1, n):
             d = np.abs(traj[:, i] - traj[:, j])
-            for k in range(1, n_steps - 1):
+            dip = d[1:-1]
+            # a pair already degenerate at the dip bottom is a crossing
+            # or a protected doublet, reported through the D flag
+            candidates = ((DEGENERACY_TOL < dip) & (dip <= threshold)
+                          & (dip < d[:-2]) & (dip < d[2:]))
+            for k in (np.flatnonzero(candidates) + 1).tolist():
                 if k in ep_steps:
-                    continue
-                # a pair already degenerate at the dip bottom is a crossing
-                # or a protected doublet, reported through the D flag
-                if not DEGENERACY_TOL < d[k] <= threshold:
-                    continue
-                if not (d[k] < d[k - 1] and d[k] < d[k + 1]):
                     continue
                 mid = (traj[k, i] + traj[k, j]) / 2.0
                 best = d[k]
@@ -457,10 +438,10 @@ class Protocol:
 PROTOCOLS = {p.tag: p for p in (
     Protocol("1b", "tau", 0.0, 2.0,
              lambda t: model_mod.honeycomb_flake(1.0, t),
-             ("origin", "real", "imag")),
+             tuple(REFLECTIONS)),
     Protocol("2b", "s", 0.0, 2.0,
              lambda s: model_mod.rt_wheel(0.75, 1.0 + 1j * s, 1.5 + 1j * s),
-             ("origin", "real", "imag")),
+             tuple(REFLECTIONS)),
     Protocol("2c", "s", 0.0, 2.0,
              lambda s: model_mod.rt_wheel(0.75 - 0.1j, 1.0 + 1j * s,
                                           1.5 + 1j * s),
@@ -478,7 +459,7 @@ PROTOCOLS = {p.tag: p for p in (
              ("origin",)),
     Protocol("5b", "delta", 0.0, float(abs(model_mod.CHAIN_COUPLING)),
              lambda d: model_mod.mirror_chain(d),
-             ("origin", "real", "imag")),
+             tuple(REFLECTIONS)),
 )}
 
 

@@ -1,5 +1,7 @@
 """End-to-end runs of the console entry point (in process)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -218,3 +220,32 @@ def test_check_residuals_survive_huge_parameters(capsys):
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_sweep_step_limit_exits_two(capsys):
+    code, _, err = run(capsys, "sweep", "--fig", "2b",
+                       "--steps", "1000000000000")
+    assert code == 2
+    assert err.startswith("error: ") and "limit" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["check", "--preset", "dirac4a", "--g1", "nan"], "--g1"),
+    (["check", "--preset", "dirac4a", "--g1", "1e400"], "--g1"),
+    (["check", "--preset", "rt-wheel", "--beta", "1+nani"], "--beta"),
+    (["check", "--preset", "flake", "--g", "nan"], "--g"),
+    (["check", "--preset", "flake", "--tau", "1e400"], "--tau"),
+    (["check", "--preset", "chain", "--delta=-inf"], "--delta"),
+    (["ep", "--family", "jordan2", "--bracket", "-0.1", "0.1",
+      "--target", "nan"], "--target"),
+    (["ep", "--family", "jordan2", "--bracket", "nan", "0.1"], "--bracket"),
+])
+def test_non_finite_argument_exits_two(capsys, argv, name):
+    # refused as the argument they are, not later as a bad coupling or
+    # tolerance, and without a RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert f"argument {name}" in err and "must be finite" in err

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from nhsym import linalg
 
@@ -123,3 +123,32 @@ def test_eig_backward_error_bound(H):
         assert err.residual > 1e-10 * scale
         return
     assert system.residuals.max() <= 1e-10 * max(scale, 1e-300)
+
+
+def test_eig_of_empty_matrix():
+    system = linalg.eig(np.zeros((0, 0)))
+    assert system.values.shape == (0,)
+    assert system.right_vectors.shape == system.left_vectors.shape == (0, 0)
+
+
+# exact zeros, or entries large enough that column norms do not underflow
+_vector_entry = st.one_of(st.just(0j), st.complex_numbers(
+    min_magnitude=1e-100, max_magnitude=3, allow_nan=False,
+    allow_infinity=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(np.complex128, (5, 3), elements=_vector_entry))
+def test_fix_phase_makes_pivots_real_and_keeps_norms(vectors):
+    fixed = linalg._fix_phase(vectors)
+    cols = np.arange(vectors.shape[1])
+    pivots = fixed[np.argmax(np.abs(vectors), axis=0), cols]
+    size = np.abs(pivots)
+    assert np.all(pivots.real >= 0)
+    assert np.all(np.abs(pivots.imag) <= 1e-15 * size)
+    before = np.linalg.norm(vectors, axis=0)
+    after = np.linalg.norm(fixed, axis=0)
+    assert np.all(np.abs(after - before) <= 1e-15 * before)
+    # an all-zero column stays as it is
+    zero = np.all(vectors == 0, axis=0)
+    assert_array_equal(fixed[:, zero], vectors[:, zero])

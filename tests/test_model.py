@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -257,6 +259,24 @@ def test_save_load_roundtrip(tmp_path):
         assert_allclose(model.to_matrix(back), model.to_matrix(m), atol=0)
         assert back.n_sites == m.n_sites
         assert back.sublattice == m.sublattice
+
+
+@pytest.mark.parametrize("name", ["a b", "a\tb"])
+def test_model_name_round_trip(tmp_path, name):
+    m = dataclasses.replace(model.mirror_chain(0.2), name=name)
+    path = tmp_path / "m.model"
+    model.save_model(m, path)
+    assert model.load_model(path).name == name
+
+
+@pytest.mark.parametrize("name", ["", "a#b", " a ", "a ", "\ta", "a\nb",
+                                  "a\rb", "a\r\nb", "a\u2028b", "a\n"])
+def test_model_rejects_names_that_do_not_round_trip(name):
+    # none survives a save_model -> load_model round trip: "a#b" reads back
+    # as "a", " a " as "a", "" is refused by the loader and "a\rb" splits
+    # into two lines
+    with pytest.raises(ValueError, match="model name"):
+        dataclasses.replace(model.mirror_chain(0.2), name=name)
 
 
 def test_load_model_diagnostics(tmp_path):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -89,6 +91,13 @@ def test_ep_validation():
         spectra.ep_locate(lambda p: np.array([[p]]), (0.0, 1.0))
 
 
+@pytest.mark.parametrize("target", [complex("nan"), complex("inf"),
+                                    complex(0, float("-inf"))])
+def test_ep_rejects_non_finite_target(target):
+    with pytest.raises(ValueError, match="target"):
+        spectra.ep_locate(spectra.jordan2, (-0.1, 0.1), target=target)
+
+
 def test_ep_param_tol_below_float_spacing_returns():
     # the golden-section bracket cannot shrink below adjacent floats; the
     # search used to loop there for ever, so the family counts its calls
@@ -171,6 +180,16 @@ def test_sweep_exact_doublets_do_not_fake_eps():
 def test_sweep_validation():
     with pytest.raises(ValueError):
         spectra.sweep(spectra.jordan2, 0.0, 1.0, n_steps=1)
+
+
+def test_sweep_step_limit_checked_before_any_work():
+    def family(p):
+        raise AssertionError("family called")
+
+    with pytest.raises(ValueError, match="limit"):
+        spectra.sweep(family, 0.0, 1.0, n_steps=spectra.MAX_STEPS + 1)
+    with pytest.raises(ValueError, match="limit"):
+        spectra.sweep(family, 0.0, 1.0, n_steps=10**12)
 
 
 # --- csv ------------------------------------------------------------------
@@ -262,3 +281,25 @@ def test_protocol_2c_breaks_axes_somewhere():
 def test_protocol_5b_range():
     proto = spectra.protocol("5b")
     assert proto.hi == pytest.approx(abs(model.CHAIN_COUPLING))
+
+
+def _readme_sweep_table():
+    """``(tag, declared reflections)`` per row of the README's sweep
+    protocol table."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("### sweep\n", 1)[1].split("\n### ")[0]
+    lines = [ln for ln in section.splitlines() if ln.startswith("|")]
+    header = [c.strip() for c in lines[0].strip("|").split("|")]
+    tag, declared = header.index("tag"), header.index("declared reflections")
+    rows = []
+    for line in lines[2:]:
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        rows.append((cells[tag],
+                     tuple(a.strip() for a in cells[declared].split(","))))
+    return rows
+
+
+def test_readme_sweep_table_matches_protocols():
+    assert _readme_sweep_table() == [(tag, p.symmetric)
+                                     for tag, p in spectra.PROTOCOLS.items()]
