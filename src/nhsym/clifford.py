@@ -85,11 +85,6 @@ class GammaLabel:
         return GammaLabel(self.indices + other.indices,
                           self.coefficient * other.coefficient)
 
-    @property
-    def unit(self) -> "GammaLabel":
-        """The same product with coefficient reset to 1."""
-        return GammaLabel(self.indices)
-
     def to_matrix(self) -> np.ndarray:
         return self.coefficient * gamma(self.indices)
 

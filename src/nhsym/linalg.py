@@ -91,9 +91,9 @@ def eig(H, tol: float = TOL_EIG) -> EigenSystem:
     H : array_like
         Square complex matrix, at most 256x256.
     tol : float
-        Relative backward-error bound; every returned pair satisfies
-        ``||H @ psi - eps * psi|| <= tol * ||H||_F`` and the transposed
-        relation for the left vector.
+        Relative backward-error bound, finite and positive; every returned
+        pair satisfies ``||H @ psi - eps * psi|| <= tol * ||H||_F`` and the
+        transposed relation for the left vector.
 
     Returns
     -------
@@ -107,6 +107,7 @@ def eig(H, tol: float = TOL_EIG) -> EigenSystem:
         If the decomposition does not meet the residual bound; the worst
         residual achieved is carried on the exception.
     """
+    _require_tol(tol)
     H = _as_square(H)
     n = H.shape[0]
     try:

@@ -1,12 +1,13 @@
 """Tight-binding model builders with sublattice bookkeeping.
 
-A Model is a named list of sites with complex on-site potentials plus
-directed complex couplings, so asymmetric hopping (amplitude i->j different
-from j->i) is representable without special cases.  Builders cover a
-13-site honeycomb flake with balanced gain and loss, a 4-site wheel with
-rotation-time symmetry, two 4-site Dirac-matrix lattices, the all-to-all
-4-site pyramid family, bipartite blocks with imaginary on-site detuning,
-and the 2x2 Bloch matrix of a dimerized chain.
+A Model is a named Hamiltonian matrix over an ordered site list: the
+diagonal holds the complex on-site potentials and ``H[j, i]`` the
+amplitude from site i to site j, so asymmetric hopping (amplitude i->j
+different from j->i) is representable without special cases.  Builders
+cover a 13-site honeycomb flake with balanced gain and loss, a 4-site
+wheel with rotation-time symmetry, two 4-site Dirac-matrix lattices, the
+all-to-all 4-site pyramid family, bipartite blocks with imaginary on-site
+detuning, and the 2x2 Bloch matrix of a dimerized chain.
 
 Each builder attaches ``symmetry_hints``: strings naming relations the
 built matrix is expected to satisfy, resolvable to concrete operators with
@@ -15,47 +16,46 @@ built matrix is expected to satisfy, resolvable to concrete operators with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _records, clifford
 from .clifford import GammaExpr, GammaLabel, format_expr, gamma
+from .linalg import _as_square
 
 SUBLATTICES = ("A", "B", "none")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Model:
     """A tight-binding system on a fixed, ordered site list.
+
+    Models compare by identity; compare ``matrix`` to compare Hamiltonians.
 
     Fields
     ------
     name : str
         Identifier: one nonempty line, no ``#``, no surrounding
         whitespace.
-    n_sites : int
-        Number of sites.
-    onsite : tuple of complex
-        Diagonal potential per site.
-    couplings : tuple of (int, int, complex)
-        Directed amplitudes ``(i, j, t)`` entering the matrix as
-        ``H[j, i] += t``; at most one entry per ordered pair.
+    matrix : numpy.ndarray
+        The Hamiltonian: square, finite, 1 to 256 sites; ``matrix[j, i]``
+        is the amplitude from site i to site j.  Stored as a read-only
+        complex copy.
     sublattice : tuple of str
         Per-site label in {"A", "B", "none"}.
     symmetry_hints : tuple of str
         Relation hints of the form ``kind:opspec``; see
         :func:`nhsym.symmetry.named_operator`.
     non_bipartite : bool
-        When False, couplings between two labeled sites must connect A to B.
+        When False, a nonzero off-diagonal entry between two labeled sites
+        must connect A to B.
     """
 
     name: str
-    n_sites: int
-    onsite: tuple
-    couplings: tuple
+    matrix: np.ndarray
     sublattice: tuple
-    symmetry_hints: tuple = field(default=())
+    symmetry_hints: tuple = ()
     non_bipartite: bool = False
 
     def __post_init__(self):
@@ -65,70 +65,41 @@ class Model:
             raise ValueError(
                 "model name must be one nonempty line without '#' or "
                 f"surrounding whitespace, got {self.name!r}")
-        if self.n_sites < 1:
-            raise ValueError("n_sites must be positive")
-        if len(self.onsite) != self.n_sites:
-            raise ValueError(f"need {self.n_sites} onsite values, got {len(self.onsite)}")
-        if len(self.sublattice) != self.n_sites:
-            raise ValueError(f"need {self.n_sites} sublattice labels, got {len(self.sublattice)}")
-        for lab in self.sublattice:
+        H = _as_square(self.matrix, "model matrix").copy()
+        n = H.shape[0]
+        if n < 1:
+            raise ValueError("a model needs at least one site")
+        labels = tuple(self.sublattice)
+        if len(labels) != n:
+            raise ValueError(f"need {n} sublattice labels, got {len(labels)}")
+        for lab in labels:
             if lab not in SUBLATTICES:
                 raise ValueError(f"bad sublattice label {lab!r}")
-        object.__setattr__(self, "onsite", tuple(complex(v) for v in self.onsite))
-        seen = set()
-        cleaned = []
-        for entry in self.couplings:
-            i, j, amp = entry
-            i, j, amp = int(i), int(j), complex(amp)
-            if not (0 <= i < self.n_sites and 0 <= j < self.n_sites):
-                raise ValueError(f"coupling endpoint out of range: ({i}, {j})")
-            if i == j:
-                raise ValueError(f"self-coupling on site {i}; use onsite instead")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate coupling for ordered pair ({i}, {j})")
-            seen.add((i, j))
-            la, lb = self.sublattice[i], self.sublattice[j]
-            if not self.non_bipartite and "none" not in (la, lb) and la == lb:
+        if not self.non_bipartite:
+            lab = np.array(labels)
+            # same[i, j]: sites i != j share the label A or B
+            same = (lab[:, None] == lab) & (lab != "none") & ~np.eye(n, dtype=bool)
+            bad = np.argwhere(same & (H.T != 0))
+            if bad.size:
+                i, j = bad[0].tolist()
                 raise ValueError(
-                    f"coupling ({i}, {j}) stays inside sublattice {la}; "
+                    f"coupling ({i}, {j}) stays inside sublattice {lab[i]}; "
                     "flag the model non_bipartite if intended"
                 )
-            cleaned.append((i, j, amp))
-        object.__setattr__(self, "couplings", tuple(cleaned))
-        if not all(np.isfinite(v) for v in self.onsite):
-            raise ValueError("non-finite onsite value")
-        if not all(np.isfinite(t) for _, _, t in self.couplings):
-            raise ValueError("non-finite coupling amplitude")
+        H.flags.writeable = False
+        object.__setattr__(self, "matrix", H)
+        object.__setattr__(self, "sublattice", labels)
+        object.__setattr__(self, "symmetry_hints", tuple(self.symmetry_hints))
+
+    @property
+    def n_sites(self) -> int:
+        """Number of sites."""
+        return self.matrix.shape[0]
 
 
 def to_matrix(m: Model) -> np.ndarray:
-    """Dense matrix of a model: onsite on the diagonal, couplings added."""
-    H = np.zeros((m.n_sites, m.n_sites), dtype=complex)
-    for idx, v in enumerate(m.onsite):
-        H[idx, idx] = v
-    for i, j, amp in m.couplings:
-        H[j, i] += amp
-    return H
-
-
-def _model_from_matrix(name, H, sublattice, hints=(), non_bipartite=False) -> Model:
-    H = np.asarray(H, dtype=complex)
-    n = H.shape[0]
-    couplings = [
-        (i, j, H[j, i])
-        for i in range(n)
-        for j in range(n)
-        if i != j and H[j, i] != 0
-    ]
-    return Model(
-        name=name,
-        n_sites=n,
-        onsite=tuple(np.diag(H)),
-        couplings=tuple(couplings),
-        sublattice=tuple(sublattice),
-        symmetry_hints=tuple(hints),
-        non_bipartite=non_bipartite,
-    )
+    """The model's Hamiltonian as a new, writable array."""
+    return m.matrix.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +172,11 @@ def honeycomb_flake(g: float, tau: float) -> Model:
         raise ValueError("g must be positive")
     if tau < 0:
         raise ValueError("tau must be non-negative")
-    onsite = [0j] * FLAKE_N
-    for s in FLAKE_GAIN:
-        onsite[s] = 1j * tau
-    for s in FLAKE_LOSS:
-        onsite[s] = -1j * tau
-    couplings = []
-    for i, j in FLAKE_EDGES:
-        couplings.append((i, j, g))
-        couplings.append((j, i, g))
+    H = np.zeros((FLAKE_N, FLAKE_N), dtype=complex)
+    H[FLAKE_GAIN, FLAKE_GAIN] = 1j * tau
+    H[FLAKE_LOSS, FLAKE_LOSS] = -1j * tau
+    i, j = np.array(FLAKE_EDGES).T
+    H[i, j] = H[j, i] = g
     labels = tuple("A" if s <= 6 else "B" for s in range(FLAKE_N))
     hints = (
         "chiral:mirror1*sublattice",
@@ -220,8 +187,7 @@ def honeycomb_flake(g: float, tau: float) -> Model:
         "rt:mirror2",
         "rt:mirror3",
     )
-    return Model("honeycomb_flake", FLAKE_N, tuple(onsite), tuple(couplings),
-                 labels, hints)
+    return Model("honeycomb_flake", H, labels, hints)
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +210,9 @@ def rt_wheel(beta: complex, g1: complex, g2: complex) -> Model:
     in generator notation.
     """
     beta, g1, g2 = complex(beta), complex(g1), complex(g2)
-    onsite = (beta, beta, -beta, -beta)
-    couplings = (
-        (0, 2, g1), (0, 3, np.conj(g2)),
-        (1, 2, g2), (1, 3, np.conj(g1)),
-        (2, 0, g1), (2, 1, g2),
-        (3, 0, np.conj(g2)), (3, 1, np.conj(g1)),
-    )
+    c1, c2 = g1.conjugate(), g2.conjugate()
+    H = np.diag([beta, beta, -beta, -beta]) + np.array(
+        [[0, 0, g1, c2], [0, 0, g2, c1], [g1, g2, 0, 0], [c2, c1, 0, 0]])
     hints = []
     chiral = ((GammaLabel((1,)), g2.real), (GammaLabel((3,)), 1j * g1.imag))
     if g2.real != 0 or g1.imag != 0:
@@ -261,19 +223,7 @@ def rt_wheel(beta: complex, g1: complex, g2: complex) -> Model:
         nhph = ((GammaLabel((0, 5)), g2.real), (GammaLabel((2,)), -g1.imag))
         if g2.real != 0 or g1.imag != 0:
             hints.append("nhph:" + _expr_str(nhph))
-    return _model_from_matrix(
-        "rt_wheel",
-        np.diag(onsite) + _couplings_only(4, couplings),
-        ("A", "A", "B", "B"),
-        hints,
-    )
-
-
-def _couplings_only(n, couplings):
-    H = np.zeros((n, n), dtype=complex)
-    for i, j, amp in couplings:
-        H[j, i] += amp
-    return H
+    return Model("rt_wheel", H, ("A", "A", "B", "B"), hints)
 
 
 def dirac4(variant: str, g1: complex, g2: complex) -> Model:
@@ -297,7 +247,7 @@ def dirac4(variant: str, g1: complex, g2: complex) -> Model:
         hints = ["chiral:g0", "chiral:g1", "chiral:g1*g5", "chiral:g0*g5"]
     else:
         raise ValueError(f"variant must be 'a' or 'b', got {variant!r}")
-    return _model_from_matrix(f"dirac4{variant}", H, ("A", "A", "B", "B"), hints)
+    return Model(f"dirac4{variant}", H, ("A", "A", "B", "B"), hints)
 
 
 _DETUNING_LABELS = {(0,), (1, 2), (3, 5)}
@@ -348,8 +298,8 @@ def pyramid(variant: str, g1: complex, g2: complex, g3: complex,
         if (3, 5) in has and (0,) not in has and g1 != 0:
             hints.append("chiral:" + format_expr(
                 pyramid_evolving_chiral(g1, present[(3, 5)])))
-    return _model_from_matrix(f"pyramid_{variant}", H, ("none",) * 4, hints,
-                              non_bipartite=True)
+    return Model(f"pyramid_{variant}", H, ("none",) * 4, hints,
+                 non_bipartite=True)
 
 
 def pyramid_evolving_chiral(g1: complex, d2: complex) -> GammaExpr:
@@ -408,7 +358,7 @@ def bipartite_pseudo(T, D_A, D_B, name: str = "bipartite_pseudo",
     H[na:, :na] = T.conj().T
     labels = ("A",) * na + ("B",) * nb
     hints = ("antipseudo:sublattice",) + tuple(extra_hints)
-    return _model_from_matrix(name, H, labels, hints)
+    return Model(name, H, labels, hints)
 
 
 CHAIN_COUPLING = 1 - 0.1j
@@ -513,16 +463,20 @@ def ssh_bloch(variant: str, t1: float, t2: float, tau: float, k: float) -> np.nd
 
 
 def save_model(m: Model, path) -> None:
-    """Write a model file: header lines, then site and hop lines.
+    """Write a model file: header lines, a site line per site, then a hop
+    line per nonzero off-diagonal entry, in (i, j) order.
 
     Sublattice labels and symmetry hints are not stored; labels are
     recovered on load by two-coloring the coupling graph.
     """
+    H = m.matrix
+    rows, cols = np.nonzero(H.T)  # hop i j holds H[j, i]
     _records.write(
         path, [("name", m.name), ("n_sites", m.n_sites)],
         ["non_bipartite"] if m.non_bipartite else [],
-        [("site", (idx,), v) for idx, v in enumerate(m.onsite)]
-        + [("hop", (i, j), amp) for i, j, amp in m.couplings],
+        [("site", (i,), H[i, i]) for i in range(m.n_sites)]
+        + [("hop", (i, j), H[j, i])
+           for i, j in zip(rows.tolist(), cols.tolist()) if i != j],
     )
 
 
@@ -553,26 +507,22 @@ def load_model(path) -> Model:
     """
     rec = _records.read(path, _KEYWORDS, _no_self_coupling)
     n_sites = rec["n_sites"]
-    hops = [(i, j, amp) for (i, j), amp in rec["hop"].items()]
+    H = np.zeros((n_sites, n_sites), dtype=complex)
+    for (i,), v in rec["site"].items():
+        H[i, i] = v
+    for (i, j), amp in rec["hop"].items():
+        H[j, i] = amp
     non_bipartite = "non_bipartite" in rec["flags"]
     if non_bipartite:
         labels = ["none"] * n_sites
     else:
-        labels = _two_color(n_sites, hops, path)
-    return Model(
-        name=rec["name"],
-        n_sites=n_sites,
-        onsite=tuple(rec["site"].get((i,), 0j) for i in range(n_sites)),
-        couplings=tuple(hops),
-        sublattice=tuple(labels),
-        symmetry_hints=(),
-        non_bipartite=non_bipartite,
-    )
+        labels = _two_color(n_sites, rec["hop"], path)
+    return Model(rec["name"], H, labels, non_bipartite=non_bipartite)
 
 
 def _two_color(n_sites, hops, path):
     adj: dict = {i: set() for i in range(n_sites)}
-    for i, j, _ in hops:
+    for i, j in hops:
         adj[i].add(j)
         adj[j].add(i)
     labels = [None] * n_sites

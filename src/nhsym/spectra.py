@@ -98,8 +98,9 @@ class ZeroMode:
 
 
 def zero_modes(H, tol: float = 1e-9) -> list[ZeroMode]:
-    """Eigenpairs at zero or on the imaginary axis, tolerance relative to
-    ||H||."""
+    """Eigenpairs at zero or on the imaginary axis, tolerance (finite and
+    positive) relative to ||H||."""
+    _require_tol(tol)
     H = np.asarray(H, dtype=complex)
     system = eig(H)
     scale = max(float(np.linalg.norm(H)), 1e-300)
@@ -164,6 +165,8 @@ def ep_locate(family: Callable[[float], np.ndarray], bracket,
     if not np.isfinite(target):
         raise ValueError(f"target must be finite, got {target!r}")
     a, b = float(bracket[0]), float(bracket[1])
+    if not np.isfinite(b - a):
+        raise ValueError(f"bracket ({a}, {b}) must have finite ends and width")
     if not a < b:
         raise ValueError(f"bracket must satisfy lo < hi, got ({a}, {b})")
 
@@ -270,7 +273,11 @@ def sweep(family: Callable[[float], np.ndarray], lo: float, hi: float,
         raise ValueError("n_steps must be at least 2")
     if n_steps > MAX_STEPS:
         raise ValueError(f"n_steps exceeds the limit ({n_steps} > {MAX_STEPS})")
-    params = np.linspace(float(lo), float(hi), n_steps)
+    lo, hi = float(lo), float(hi)
+    if not np.isfinite(hi - lo):
+        raise ValueError(f"sweep range ({lo}, {hi}) must have finite ends "
+                         "and width")
+    params = np.linspace(lo, hi, n_steps)
     rows = []
     prev = None
     for p in params:
@@ -393,8 +400,9 @@ class ProfileResult:
 
 
 def mode_profile(H, value: complex, m, tol: float = 1e-7) -> ProfileResult:
-    """Profile the eigenmode closest to ``value`` (tolerance relative to
-    ||H||) over the model's sites."""
+    """Profile the eigenmode closest to ``value`` (tolerance, finite and
+    positive, relative to ||H||) over the model's sites."""
+    _require_tol(tol)
     H = np.asarray(H, dtype=complex)
     if H.shape[0] != m.n_sites:
         raise ValueError(f"matrix size {H.shape[0]} != {m.n_sites} sites")

@@ -285,7 +285,9 @@ def pseudo_from_sa(H, tol: float = PASS_TOL) -> SAResult:
     S @ A anticommutes with H; both are verified before being returned.
     A singular antisymmetric part is returned with a warning and
     ``allow_singular`` set, its relation still checked in inverse-free form.
+    ``tol`` must be finite and positive.
     """
+    _require_tol(tol)
     H = np.asarray(H, dtype=complex)
     S, A = sa_split(H)
     norm_a, norm_s = _fro(A), _fro(S)
@@ -498,8 +500,10 @@ def hidden_nhph(beta: complex, g1: complex, g2: complex,
     construction is verified against the wheel matrix before returning,
     and the product of the rotation-conjugation with this operator is
     confirmed to be a scalar multiple of the wheel's anticommuting
-    operator ``Re(g2)*g1 + i*Im(g1)*g3``.
+    operator ``Re(g2)*g1 + i*Im(g1)*g3``.  ``tol`` must be finite and
+    positive.
     """
+    _require_tol(tol)
     beta, g1, g2 = complex(beta), complex(g1), complex(g2)
     if beta.imag != 0:
         raise ValueError(
@@ -563,7 +567,9 @@ def pseudo_properties(H, eta, commuting=(), tol: float = PASS_TOL) -> PseudoRepo
     commuting : sequence of array_like
         Candidate matrices w; each is tested for ``[w, H] = 0`` first.
     tol : float
+        Finite and positive.
     """
+    _require_tol(tol)
     H = np.asarray(H, dtype=complex)
     if not isinstance(eta, SymOp):
         eta = SymOp(np.asarray(eta, dtype=complex), TRANSPOSE_MINUS,

@@ -230,6 +230,17 @@ def test_sweep_step_limit_exits_two(capsys):
     assert "Traceback" not in err
 
 
+def test_ep_bracket_wider_than_floats_exits_two(capsys):
+    # both ends are finite, but hi - lo overflows; the blank keeps
+    # argparse from reading "-1e308" as an option
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "ep", "--fig", "1b",
+                             "--bracket", " -1e308", "1e308")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bracket (") and "finite" in err
+
+
 @pytest.mark.parametrize("argv, name", [
     (["check", "--preset", "dirac4a", "--g1", "nan"], "--g1"),
     (["check", "--preset", "dirac4a", "--g1", "1e400"], "--g1"),

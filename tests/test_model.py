@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ def test_flake_zero_mode_closed_form(tau):
 
 def test_flake_gain_loss_placement():
     m = model.honeycomb_flake(1.0, 0.7)
-    onsite = np.array(m.onsite)
+    onsite = np.diag(m.matrix)
     assert_allclose(onsite[[1, 3, 5]], 0.7j)
     assert_allclose(onsite[[2, 4, 6]], -0.7j)
     assert_allclose(onsite[[0, 7, 8, 9, 10, 11, 12]], 0.0)
@@ -224,16 +225,36 @@ def test_ssh_bloch_forms():
 # --- validation and operators --------------------------------------------
 
 def test_model_validation():
-    with pytest.raises(ValueError, match="onsite"):
-        model.Model("m", 2, (0, 0), ((0, 0, 1.0),), ("A", "B"))
-    with pytest.raises(ValueError, match="duplicate"):
-        model.Model("m", 2, (0, 0), ((0, 1, 1.0), (0, 1, 2.0)), ("A", "B"))
+    hop = np.array([[0, 0], [1.0, 0]])  # amplitude from site 0 to site 1
+    with pytest.raises(ValueError, match=r"coupling \(0, 1\) stays inside"):
+        model.Model("m", hop, ("A", "A"))
+    m = model.Model("m", hop, ("A", "A"), non_bipartite=True)
+    assert m.n_sites == 2 and m.sublattice == ("A", "A")
+    model.Model("m", hop, ("A", "none"))
+    with pytest.raises(ValueError, match="square"):
+        model.Model("m", np.zeros((2, 3)), ("A", "B"))
+    with pytest.raises(ValueError, match="non-finite"):
+        model.Model("m", np.diag([0.0, np.nan]), ("A", "B"))
+    with pytest.raises(ValueError, match="257 > 256"):
+        model.Model("m", np.zeros((257, 257)), ("none",) * 257)
+    with pytest.raises(ValueError, match="at least one site"):
+        model.Model("m", np.zeros((0, 0)), ())
+    with pytest.raises(ValueError, match="need 2 sublattice labels, got 3"):
+        model.Model("m", hop, ("A", "B", "A"))
+    with pytest.raises(ValueError, match="bad sublattice label"):
+        model.Model("m", hop, ("A", "C"))
+
+
+def test_model_keeps_a_read_only_copy():
+    H = np.array([[0.5, 1.0], [1.0, -0.5j]])
+    m = model.Model("m", H, ("A", "B"))
+    H[0, 0] = 7.0
+    assert m.matrix[0, 0] == 0.5
     with pytest.raises(ValueError):
-        model.Model("m", 2, (0, 0), ((0, 2, 1.0),), ("A", "B"))
-    with pytest.raises(ValueError):
-        model.Model("m", 2, (0, 0), ((0, 1, 1.0),), ("A", "A"))
-    model.Model("m", 2, (0, 0), ((0, 1, 1.0),), ("A", "A"),
-                non_bipartite=True)
+        m.matrix[0, 0] = 7.0
+    out = model.to_matrix(m)
+    out[0, 0] = 7.0
+    assert m.matrix[0, 0] == 0.5
 
 
 def test_lattice_operator_tokens():
@@ -247,6 +268,15 @@ def test_lattice_operator_tokens():
         model.lattice_operator(mc, "mirror1")
     with pytest.raises(ValueError):
         model.lattice_operator(mc, "spin")
+
+
+def test_readme_library_example_runs():
+    # the README's "Library" block is the documented model API
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("## Library\n", 1)[1].split("\n## ")[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
 
 
 # --- file round trip ------------------------------------------------------

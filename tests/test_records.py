@@ -34,6 +34,10 @@ BAD_MODELS = {
     "nan hop": (MODEL_HEAD + "hop 1 0 0 nan\n", 3),
     "n_sites 1000000": ("name m\nn_sites 1000000\n", 2),
     "n_sites 0": ("name m\nn_sites 0\n", 2),
+    # a matrix cannot hold these three, so only the loader checks them
+    "self-coupling": (MODEL_HEAD + "hop 1 1 1 0\n", 3),
+    "duplicate hop": (MODEL_HEAD + "hop 0 1 1 0\nhop 0 1 2 0\n", 4),
+    "hop out of range": (MODEL_HEAD + "hop 0 2 1 0\n", 3),
 }
 
 

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,24 @@ def test_ep_param_tol_below_float_spacing_returns():
     rep = spectra.ep_locate(family, (0.5, 1.0), param_tol=1e-300)
     assert not rep.found
     assert rep.parameter == pytest.approx(0.5)
+
+
+def _uncalled(p):
+    raise AssertionError(f"family called at {p}")
+
+
+@pytest.mark.parametrize("lo, hi", [(-np.inf, 0.1), (-0.1, np.inf),
+                                    (np.nan, 0.1), (0.0, np.nan),
+                                    (-1e308, 1e308)])
+def test_non_finite_ranges_are_refused_before_the_family(lo, hi):
+    # they used to reach the family through linspace's RuntimeWarnings and
+    # be blamed on the matrix ("H has non-finite entries")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"bracket \(.*finite"):
+            spectra.ep_locate(_uncalled, (lo, hi))
+        with pytest.raises(ValueError, match=r"sweep range \(.*finite"):
+            spectra.sweep(_uncalled, lo, hi, 5)
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-3])
