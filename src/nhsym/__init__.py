@@ -6,9 +6,8 @@ and analyze the spectral consequences: symmetric spectra, protected zero
 modes, and exceptional points.
 """
 
-from .clifford import (GammaExpr, GammaLabel, basis16, basis16_labels,
-                       expand_in_basis16, expr_to_matrix, format_expr, gamma,
-                       parse_expr)
+from .clifford import (GammaExpr, basis16, basis16_labels, expand_in_basis16,
+                       expr_to_matrix, format_expr, gamma, parse_expr)
 from .linalg import (ClusterWarning, ConvergenceError, EigenSystem, eig,
                      multiplicities, nullspace)
 from .model import (Model, bipartite_pseudo, chain_parity, dirac4,
@@ -27,7 +26,7 @@ from .symmetry import (PseudoReport, SAResult, SymOp, check, discover,
 __version__ = "0.1.0"
 
 __all__ = [
-    "GammaExpr", "GammaLabel", "basis16", "basis16_labels",
+    "GammaExpr", "basis16", "basis16_labels",
     "expand_in_basis16", "expr_to_matrix", "format_expr", "gamma",
     "parse_expr",
     "ClusterWarning", "ConvergenceError", "EigenSystem", "eig",

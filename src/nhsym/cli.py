@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -75,8 +76,18 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads ``-1e-1``, ``-.5`` and ``-1-0.5i`` as values, where argparse
+    alone takes only ``-1`` and ``-0.5``; the subcommands share the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # no option name starts with a digit or a dot
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nhsym",
         description="symmetry checks, discovery, and spectra for "
                     "non-Hermitian tight-binding models",

@@ -1,17 +1,17 @@
 """Dirac matrix algebra on 4x4 complex matrices.
 
 Five mutually anticommuting generators are indexed by 0, 1, 2, 3 and 5.
-Generators 0 and 5 square to +1, generators 1, 2, 3 square to -1.  Products
-of generators are kept in a canonical normal form (strictly ascending
-indices, accumulated sign absorbed into a scalar coefficient), which gives
-every product expression a unique representation and makes operators found
-by numerical search reportable as readable expressions.
+Generators 0 and 5 square to +1, generators 1, 2, 3 square to -1.  A product
+of generators is a strictly ascending index tuple (``()`` is the identity);
+``GammaExpr.from_terms`` reduces any factor order to it, with the sign picked
+up moved into the coefficient.  Every product expression thus has a unique
+form, and operators found by numerical search read as expressions.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,57 +61,21 @@ def _canonicalize(indices) -> tuple[tuple[int, ...], complex]:
     return tuple(out), coeff
 
 
-@dataclass(frozen=True)
-class GammaLabel:
-    """A canonical product of generators with an accumulated coefficient.
-
-    ``indices`` is a strictly ascending tuple drawn from INDICES; the empty
-    tuple is the identity.  Any ordering or repetition passed to the
-    constructor is reduced to this normal form, with the sign or phase
-    picked up along the way multiplied into ``coefficient``.
-    """
-
-    indices: tuple[int, ...]
-    coefficient: complex = field(default=1 + 0j)
-
-    def __post_init__(self):
-        canon, sign = _canonicalize(self.indices)
-        object.__setattr__(self, "indices", canon)
-        object.__setattr__(self, "coefficient", complex(self.coefficient) * sign)
-
-    def __mul__(self, other: "GammaLabel") -> "GammaLabel":
-        if not isinstance(other, GammaLabel):
-            return NotImplemented
-        return GammaLabel(self.indices + other.indices,
-                          self.coefficient * other.coefficient)
-
-    def to_matrix(self) -> np.ndarray:
-        return self.coefficient * gamma(self.indices)
-
-    def __str__(self) -> str:
-        body = "*".join(f"g{i}" for i in self.indices) if self.indices else "1"
-        if self.coefficient == 1:
-            return body
-        return f"({_format_complex(self.coefficient)})*{body}"
-
-
 def gamma(label) -> np.ndarray:
     """Matrix of a generator or generator product.
 
     Parameters
     ----------
-    label : int, sequence of int, str, or GammaLabel
-        A generator index, an index sequence (multiplied left to right),
-        a string such as ``"g0*g1"`` or ``"1"``, or a GammaLabel.
+    label : int, sequence of int, or str
+        A generator index, an index sequence (multiplied left to right), or
+        a string such as ``"g0*g1"`` or ``"1"``.
 
     Returns
     -------
     numpy.ndarray
         4x4 complex matrix with exact small-integer / imaginary-unit
-        entries.  For a GammaLabel the coefficient is included.
+        entries.
     """
-    if isinstance(label, GammaLabel):
-        return label.to_matrix()
     if isinstance(label, str):
         return gamma(_parse_factors(label))
     if isinstance(label, (int, np.integer)):
@@ -148,26 +112,27 @@ def _format_complex(z: complex) -> str:
 class GammaExpr:
     """A linear combination of canonical generator products.
 
-    ``terms`` maps each product (as a GammaLabel with unit coefficient) to
-    its total complex coefficient; no product appears twice.
+    ``terms`` holds ``(indices, coefficient)`` pairs, ``indices`` a strictly
+    ascending tuple drawn from INDICES; no product appears twice, no
+    coefficient is zero, and the terms are ordered by length, then indices.
     """
 
-    terms: tuple[tuple[GammaLabel, complex], ...]
+    terms: tuple[tuple[tuple[int, ...], complex], ...]
 
     @staticmethod
     def from_terms(pairs) -> "GammaExpr":
+        """Sum ``(factors, coefficient)`` pairs, each factor sequence
+        multiplied left to right in any order and with repeats."""
         acc: dict[tuple[int, ...], complex] = {}
-        for label, coeff in pairs:
-            if not isinstance(label, GammaLabel):
-                label = GammaLabel(tuple(label))
-            total = complex(coeff) * label.coefficient
-            acc[label.indices] = acc.get(label.indices, 0j) + total
-        terms = tuple(
-            (GammaLabel(idx), c)
-            for idx, c in sorted(acc.items(), key=lambda kv: (len(kv[0]), kv[0]))
+        for factors, coeff in pairs:
+            indices, sign = _canonicalize(factors)
+            acc[indices] = acc.get(indices, 0j) + complex(coeff) * sign
+        return GammaExpr(tuple(
+            (indices, c)
+            for indices, c in sorted(acc.items(),
+                                     key=lambda kv: (len(kv[0]), kv[0]))
             if c != 0
-        )
-        return GammaExpr(terms)
+        ))
 
     def __add__(self, other: "GammaExpr") -> "GammaExpr":
         return GammaExpr.from_terms(list(self.terms) + list(other.terms))
@@ -180,8 +145,8 @@ class GammaExpr:
 
     def to_matrix(self) -> np.ndarray:
         out = np.zeros((4, 4), dtype=complex)
-        for label, coeff in self.terms:
-            out += coeff * gamma(label.indices)
+        for indices, coeff in self.terms:
+            out += coeff * gamma(indices)
         return out
 
     def __str__(self) -> str:
@@ -228,7 +193,7 @@ def parse_expr(text: str) -> GammaExpr:
         else:
             coeff = sign * _parse_coefficient(m.group("coeff"), pos)
             factors = m.group("factors") or "1"
-        pairs.append((GammaLabel(_parse_factors(factors)), coeff))
+        pairs.append((_parse_factors(factors), coeff))
         pos = m.end()
         first = False
     if first:
@@ -251,8 +216,8 @@ def format_expr(e: GammaExpr) -> str:
     if not e.terms:
         return "(0+0i)"
     parts = []
-    for label, coeff in e.terms:
-        body = "*".join(f"g{i}" for i in label.indices) if label.indices else "1"
+    for indices, coeff in e.terms:
+        body = "*".join(f"g{i}" for i in indices) if indices else "1"
         parts.append(f"({_format_complex(coeff)})*{body}")
     return " + ".join(parts)
 
@@ -264,16 +229,16 @@ def expr_to_matrix(e) -> np.ndarray:
     return e.to_matrix()
 
 
-_BASIS16_LABELS = ((GammaLabel(()),)
-                   + tuple(GammaLabel((i,)) for i in INDICES)
-                   + tuple(GammaLabel((INDICES[a], INDICES[b]))
+_BASIS16_LABELS = (((),)
+                   + tuple((i,) for i in INDICES)
+                   + tuple((INDICES[a], INDICES[b])
                            for a in range(5) for b in range(a + 1, 5)))
-_BASIS16 = np.array([gamma(l.indices) for l in _BASIS16_LABELS])
+_BASIS16 = np.array([gamma(l) for l in _BASIS16_LABELS])
 _BASIS16.flags.writeable = False
 
 
-def basis16_labels() -> list[GammaLabel]:
-    """The 16 canonical products: identity, 5 singles, 10 ascending pairs."""
+def basis16_labels() -> list[tuple[int, ...]]:
+    """The 16 canonical index tuples: identity, 5 singles, 10 pairs."""
     return list(_BASIS16_LABELS)
 
 

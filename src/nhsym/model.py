@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _records, clifford
-from .clifford import GammaExpr, GammaLabel, format_expr, gamma
+from .clifford import GammaExpr, format_expr, gamma
 from .linalg import _as_square
 
 SUBLATTICES = ("A", "B", "none")
@@ -214,13 +214,13 @@ def rt_wheel(beta: complex, g1: complex, g2: complex) -> Model:
     H = np.diag([beta, beta, -beta, -beta]) + np.array(
         [[0, 0, g1, c2], [0, 0, g2, c1], [g1, g2, 0, 0], [c2, c1, 0, 0]])
     hints = []
-    chiral = ((GammaLabel((1,)), g2.real), (GammaLabel((3,)), 1j * g1.imag))
+    chiral = (((1,), g2.real), ((3,), 1j * g1.imag))
     if g2.real != 0 or g1.imag != 0:
         hints.append("chiral:" + _expr_str(chiral))
     if beta.imag == 0:
         # the rotation-by-two-sites permutation, i*g2*g3 as a generator product
         hints.append("rt:(0+1i)*g2*g3")
-        nhph = ((GammaLabel((0, 5)), g2.real), (GammaLabel((2,)), -g1.imag))
+        nhph = (((0, 5), g2.real), ((2,), -g1.imag))
         if g2.real != 0 or g1.imag != 0:
             hints.append("nhph:" + _expr_str(nhph))
     return Model("rt_wheel", H, ("A", "A", "B", "B"), hints)
@@ -238,7 +238,7 @@ def dirac4(variant: str, g1: complex, g2: complex) -> Model:
     if variant == "a":
         H = g1 * gamma(5) - g2 * gamma(1)
         hints = ["chiral:g0", "chiral:g2", "chiral:g3", "chiral:g1*g5"]
-        mix = ((GammaLabel((5,)), g2), (GammaLabel((1,)), -g1))
+        mix = (((5,), g2), ((1,), -g1))
         if g1 != 0 or g2 != 0:
             hints.append("chiral:" + _expr_str(mix))
         hints.append("pseudo:g1")
@@ -274,28 +274,23 @@ def pyramid(variant: str, g1: complex, g2: complex, g3: complex,
         H = g1 * gamma(5) + g2 * gamma((0, 1)) + g3 * gamma((1, 5))
     else:
         raise ValueError(f"variant must be 'nochiral' or 'chiral', got {variant!r}")
-    present = {}
-    for label, coeff in detunings:
-        if isinstance(label, str):
-            label = GammaLabel(clifford._parse_factors(label))
-        elif not isinstance(label, GammaLabel):
-            label = GammaLabel(tuple(label))
-        if label.indices not in _DETUNING_LABELS:
-            raise ValueError(
-                f"detuning label {label} is not one of the diagonal products "
-                "g0, g1*g2, g3*g5"
-            )
-        total = complex(coeff) * label.coefficient
-        present[label.indices] = present.get(label.indices, 0j) + total
-        H = H + total * gamma(label.indices)
+    pairs = [(clifford._parse_factors(label) if isinstance(label, str)
+              else label, complex(coeff)) for label, coeff in detunings]
+    present = dict(GammaExpr.from_terms(pairs).terms)
+    if not present.keys() <= _DETUNING_LABELS:
+        raise ValueError(
+            f"detunings {sorted(present.keys() - _DETUNING_LABELS)} are not "
+            "along the diagonal products g0, g1*g2, g3*g5"
+        )
+    for factors, coeff in pairs:
+        H = H + coeff * gamma(factors)
     hints = []
     if variant == "chiral":
-        has = {k for k, v in present.items() if v != 0}
-        if (3, 5) not in has:
+        if (3, 5) not in present:
             hints.append("chiral:g1")
-        if (1, 2) not in has:
+        if (1, 2) not in present:
             hints.append("chiral:g0*g5")
-        if (3, 5) in has and (0,) not in has and g1 != 0:
+        if (3, 5) in present and (0,) not in present and g1 != 0:
             hints.append("chiral:" + format_expr(
                 pyramid_evolving_chiral(g1, present[(3, 5)])))
     return Model(f"pyramid_{variant}", H, ("none",) * 4, hints,
@@ -314,8 +309,8 @@ def pyramid_evolving_chiral(g1: complex, d2: complex) -> GammaExpr:
     if g1 == 0:
         raise ValueError("needs a nonzero g5-term coupling")
     return GammaExpr.from_terms([
-        (GammaLabel((1,)), 1.0),
-        (GammaLabel((1, 3)), -complex(d2) / g1),
+        ((1,), 1.0),
+        ((1, 3), -complex(d2) / g1),
     ])
 
 

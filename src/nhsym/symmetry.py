@@ -128,11 +128,7 @@ class SymOp:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown relation kind {self.kind!r}")
-        M = np.asarray(self.matrix, dtype=complex)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise ValueError(f"operator must be square, got shape {M.shape}")
-        if not np.all(np.isfinite(M)):
-            raise ValueError("operator has non-finite entries")
+        M = _as_square(self.matrix, "operator")
         object.__setattr__(self, "matrix", M)
         # the transpose and dagger relations conjugate by the inverse
         if RELATIONS[self.kind].transpose and not self.allow_singular:
@@ -254,9 +250,7 @@ def product_pseudo(X, zeta, label: str = "") -> SymOp:
 
 def sa_split(H) -> tuple[np.ndarray, np.ndarray]:
     """Split H into its symmetric and antisymmetric parts, H = S + A."""
-    H = np.asarray(H, dtype=complex)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"H must be square, got shape {H.shape}")
+    H = _as_square(H)
     S = (H + H.T) / 2
     A = (H - H.T) / 2
     return S, A
@@ -344,9 +338,11 @@ def discover(H, relation: str, basis=None, labels=None,
     basis : sequence of array_like, optional
         Linearly independent matrices spanning the search space; defaults
         to the full matrix space.
-    labels : sequence, optional
-        Per-basis-element labels (e.g. generator products); when given,
-        each solution's label is its formatted expansion.
+    labels : sequence of index tuples, optional
+        One generator product per basis element, as
+        :func:`clifford.basis16_labels` gives them; only with a basis.
+        When given, each solution's label is its expansion as a generator
+        expression.
     tol : float
         Finite and positive: the pairing gap and residual bound above.
 
@@ -374,6 +370,8 @@ def discover(H, relation: str, basis=None, labels=None,
     # and a power of two is exact
     H = _unit_scaled(_as_square(H))
     n = H.shape[0]
+    if labels is not None and (basis is None or len(labels) != len(basis)):
+        raise ValueError("labels need a basis, one label per element")
     if basis is not None:
         mats = [np.asarray(b, dtype=complex) for b in basis]
         if any(b.shape != (n, n) for b in mats):
@@ -454,13 +452,8 @@ def _coefficient_label(c, labels) -> str:
     if labels is None:
         return ""
     cutoff = 1e-12 * float(np.abs(c).max())
-    terms = []
-    for a, coeff in enumerate(c):
-        if abs(coeff) > cutoff:
-            terms.append((labels[a], coeff))
-    if all(isinstance(l, clifford.GammaLabel) for l, _ in terms):
-        return clifford.format_expr(clifford.GammaExpr.from_terms(terms))
-    return " + ".join(f"({coeff:.6g})*{lab}" for lab, coeff in terms)
+    return clifford.format_expr(clifford.GammaExpr.from_terms(
+        (labels[a], x) for a, x in enumerate(c) if abs(x) > cutoff))
 
 
 def named_operator(m, hint: str) -> SymOp:

@@ -231,12 +231,11 @@ def test_sweep_step_limit_exits_two(capsys):
 
 
 def test_ep_bracket_wider_than_floats_exits_two(capsys):
-    # both ends are finite, but hi - lo overflows; the blank keeps
-    # argparse from reading "-1e308" as an option
+    # both ends are finite, but hi - lo overflows
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, "ep", "--fig", "1b",
-                             "--bracket", " -1e308", "1e308")
+                             "--bracket", "-1e308", "1e308")
     assert (code, out) == (2, "")
     assert err.startswith("error: bracket (") and "finite" in err
 
@@ -251,6 +250,9 @@ def test_ep_bracket_wider_than_floats_exits_two(capsys):
     (["ep", "--family", "jordan2", "--bracket", "-0.1", "0.1",
       "--target", "nan"], "--target"),
     (["ep", "--family", "jordan2", "--bracket", "nan", "0.1"], "--bracket"),
+    (["check", "--preset", "dirac4a", "--g1=-nan"], "--g1"),
+    (["ep", "--family", "jordan2", "--bracket", "-0.1", "0.1",
+      "--target=-nan"], "--target"),
 ])
 def test_non_finite_argument_exits_two(capsys, argv, name):
     # refused as the argument they are, not later as a bad coupling or
@@ -260,3 +262,18 @@ def test_non_finite_argument_exits_two(capsys, argv, name):
         code, _, err = run(capsys, *argv)
     assert code == 2
     assert f"argument {name}" in err and "must be finite" in err
+
+
+@pytest.mark.parametrize("argv, dest, value", [
+    (["ep", "--family", "jordan2", "--bracket", "-1e-1", "0.1"],
+     "bracket", [-0.1, 0.1]),
+    (["ep", "--family", "jordan2", "--bracket", "-.5", "0.1",
+      "--target", "-1e-3-2i"], "target", -1e-3 - 2j),
+    (["check", "--preset", "dirac4a", "--g1", "-1-0.5i"], "g1", -1 - 0.5j),
+    (["check", "--preset", "chain", "--delta", "-1e-2"], "delta", -0.01),
+])
+def test_negative_numbers_are_values(capsys, argv, dest, value):
+    # argparse alone reads "-1e-1", "-.5" and "-1-0.5i" as option names
+    assert getattr(cli.build_parser().parse_args(argv), dest) == value
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 1) and err == ""

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from nhsym import clifford
-from nhsym.clifford import GammaExpr, GammaLabel, gamma
+from nhsym.clifford import GammaExpr, gamma
 
 
 def test_squares():
@@ -34,26 +34,31 @@ def test_known_diagonal_products():
 
 
 def test_triple_product_collapses_to_pair():
-    # matrix identity only; the three-index label itself is kept
+    # matrix identity only; the three-index product itself is kept
     assert_array_equal(gamma((1, 2, 3)), -1j * gamma((0, 5)))
-    assert GammaLabel((1, 2, 3)).indices == (1, 2, 3)
+    assert GammaExpr.from_terms([((1, 2, 3), 1)]).terms == (((1, 2, 3), 1),)
 
 
 def test_label_canonicalization():
-    swapped = GammaLabel((5, 0))
-    assert swapped.indices == (0, 5)
-    assert swapped.coefficient == -1
-    squared = GammaLabel((1, 1))
-    assert squared.indices == ()
-    assert squared.coefficient == -1
-    assert_array_equal(gamma((2, 1)), -gamma((1, 2)))
+    for factors, indices, sign in [
+        ((5, 0), (0, 5), -1),
+        ((1, 1), (), -1),
+        # g0 * (g0*g5): a concatenated product
+        ((0, 0, 5), (5,), 1),
+        ((2, 1), (1, 2), -1),
+        ((3, 5, 0), (0, 3, 5), 1),
+    ]:
+        e = GammaExpr.from_terms([(factors, 0.5 - 2j)])
+        assert e.terms == ((indices, sign * (0.5 - 2j)),), factors
+        assert_array_equal(e.to_matrix(), (0.5 - 2j) * gamma(factors))
 
 
-def test_label_multiplication():
-    prod = GammaLabel((0,)) * GammaLabel((0, 5))
-    assert prod.indices == (5,)
-    assert prod.coefficient == 1
-    assert_array_equal(prod.to_matrix(), gamma(5))
+def test_from_terms_sums_reordered_products():
+    e = GammaExpr.from_terms([((0, 5), 2.0), ((5, 0), 0.5), ([2], 1j)])
+    assert e.terms == (((2,), 1j), ((0, 5), 1.5))
+    assert GammaExpr.from_terms([((1, 2), 1), ((2, 1), 1)]).terms == ()
+    with pytest.raises(ValueError, match="not a generator index: 4"):
+        GammaExpr.from_terms([((0, 4), 1)])
 
 
 def test_gamma_argument_forms():
@@ -100,13 +105,12 @@ def test_expr_to_matrix_accepts_strings():
 def test_basis16_structure():
     labels = clifford.basis16_labels()
     assert len(labels) == 16
-    assert labels[0].indices == ()
-    singles = [l.indices for l in labels if len(l.indices) == 1]
+    assert labels[0] == ()
+    singles = [l for l in labels if len(l) == 1]
     assert singles == [(0,), (1,), (2,), (3,), (5,)]
-    pairs = [l.indices for l in labels if len(l.indices) == 2]
+    pairs = [l for l in labels if len(l) == 2]
     assert pairs == [(0, 1), (0, 2), (0, 3), (0, 5), (1, 2),
                      (1, 3), (1, 5), (2, 3), (2, 5), (3, 5)]
-    assert all(l.coefficient == 1 for l in labels)
 
 
 def test_basis16_returns_fresh_copies():
@@ -118,9 +122,9 @@ def test_basis16_returns_fresh_copies():
     labels.clear()
     again = clifford.basis16()
     assert len(again) == 16
-    assert [l.indices for l in clifford.basis16_labels()][:2] == [(), (0,)]
+    assert clifford.basis16_labels()[:2] == [(), (0,)]
     for M, label in zip(again, clifford.basis16_labels()):
-        assert_array_equal(M, gamma(label.indices))
+        assert_array_equal(M, gamma(label))
 
 
 def test_expand_in_basis16_roundtrip():

@@ -127,10 +127,13 @@ def test_stacked_residuals_match_per_operator_across_blocks():
 def test_symop_validation():
     with pytest.raises(ValueError):
         SymOp(SZ, "mystery")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="operator must be square"):
         SymOp(np.zeros((2, 3)), LINEAR_ANTICOMMUTE)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="operator has non-finite"):
         SymOp(np.full((2, 2), np.inf), LINEAR_ANTICOMMUTE)
+    # the 1..256 site range of operator files holds for built operators too
+    with pytest.raises(ValueError, match="operator exceeds the dense cap"):
+        SymOp(np.eye(257), LINEAR_ANTICOMMUTE)
     singular = np.diag([1.0, 0.0])
     with pytest.raises(ValueError, match="allow_singular"):
         SymOp(singular, TRANSPOSE_MINUS)
@@ -187,6 +190,13 @@ def test_sa_split_reconstructs(H):
     assert_allclose(S + A, H, atol=1e-14)
     assert_allclose(S, S.T, atol=0)
     assert_allclose(A, -A.T, atol=0)
+
+
+def test_sa_split_validation():
+    with pytest.raises(ValueError, match="H has non-finite"):
+        symmetry.sa_split(np.array([[0, np.nan], [1, 0]]))
+    with pytest.raises(ValueError, match="H must be square"):
+        symmetry.sa_split(np.zeros((2, 3)))
 
 
 def test_pseudo_from_sa_positive():
@@ -280,6 +290,12 @@ def test_discover_validation():
         symmetry.discover(np.zeros((2, 3)), "chiral")
     with pytest.raises(ValueError, match="dense cap"):
         symmetry.discover(np.eye(257), "chiral")
+    H4 = model.to_matrix(model.dirac4("a", 1.0, 0.5))
+    with pytest.raises(ValueError, match="one label per element"):
+        symmetry.discover(H4, "chiral", basis=clifford.basis16(),
+                          labels=clifford.basis16_labels()[:3])
+    with pytest.raises(ValueError, match="labels need a basis"):
+        symmetry.discover(H4, "chiral", labels=clifford.basis16_labels())
 
 
 def _unit_basis(n):
