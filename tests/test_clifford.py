@@ -43,14 +43,20 @@ def test_label_canonicalization():
     for factors, indices, sign in [
         ((5, 0), (0, 5), -1),
         ((1, 1), (), -1),
-        # g0 * (g0*g5): a concatenated product
-        ((0, 0, 5), (5,), 1),
         ((2, 1), (1, 2), -1),
         ((3, 5, 0), (0, 3, 5), 1),
     ]:
         e = GammaExpr.from_terms([(factors, 0.5 - 2j)])
         assert e.terms == ((indices, sign * (0.5 - 2j)),), factors
         assert_array_equal(e.to_matrix(), (0.5 - 2j) * gamma(factors))
+
+
+def test_label_multiplication():
+    # g0 * (g0*g5): the product of two labels is their concatenated indices
+    prod = GammaExpr.from_terms([((0,) + (0, 5), 1)])
+    assert prod.terms == (((5,), 1),)
+    assert_array_equal(prod.to_matrix(), gamma(5))
+    assert_array_equal(gamma((0,)) @ gamma((0, 5)), gamma(5))
 
 
 def test_from_terms_sums_reordered_products():
