@@ -45,13 +45,9 @@ FIG_TAGS = tuple(spectra.PROTOCOLS)
 
 def _complex(text: str) -> complex:
     try:
-        value = complex(text.strip().replace("i", "j"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad complex number {text!r}") from None
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(
-            f"complex number must be finite, got {text!r}")
-    return value
+        return clifford._read_complex(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _finite(text: str) -> float:

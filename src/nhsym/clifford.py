@@ -101,6 +101,18 @@ def _parse_factors(text: str) -> tuple[int, ...]:
     return tuple(factors)
 
 
+def _read_complex(text: str) -> complex:
+    """A finite complex number spelt ``1.5-2i`` or ``1.5-2j``; only a
+    trailing ``i`` is the imaginary unit, so ``inf`` stays ``inf``."""
+    try:
+        value = complex(re.sub(r"i$", "j", text.strip()))
+    except ValueError:
+        raise ValueError(f"bad complex number {text!r}") from None
+    if not np.isfinite(value):
+        raise ValueError(f"complex number must be finite, got {text!r}")
+    return value
+
+
 def _format_complex(z: complex) -> str:
     re_s = format(z.real, ".12g")
     im_s = format(z.imag, ".12g")
@@ -202,13 +214,10 @@ def parse_expr(text: str) -> GammaExpr:
 
 
 def _parse_coefficient(body: str, pos: int) -> complex:
-    cleaned = body.replace(" ", "").replace("i", "j")
     try:
-        return complex(cleaned)
-    except ValueError:
-        raise ValueError(
-            f"bad coefficient ({body!r}) at position {pos}"
-        ) from None
+        return _read_complex(body.replace(" ", ""))
+    except ValueError as exc:
+        raise ValueError(f"coefficient at position {pos}: {exc}") from None
 
 
 def format_expr(e: GammaExpr) -> str:

@@ -18,6 +18,7 @@ from scipy.optimize import linear_sum_assignment
 
 from . import model as model_mod
 from .linalg import _require_tol, eig, multiplicities
+from .symmetry import REFLECTIONS
 
 CLASSIFY_TOL = 1e-8
 ZERO_FLAG_TOL = 1e-8
@@ -29,15 +30,6 @@ MAX_STEPS = 100_000
 EP_DIP = 0.05
 EP_CONFIRM = 0.6
 EP_OVERLAP = 0.9
-
-# the image of a spectrum under each reflection a symmetry can force on
-# it: through the origin, about the real axis, about the imaginary axis
-REFLECTIONS = {
-    "origin": np.negative,
-    "real": np.conj,
-    "imag": lambda values: -np.conj(values),
-}
-
 
 def reflection_defect(values, axis: str) -> float:
     """Largest distance in the optimal pairing of an eigenvalue multiset
@@ -170,14 +162,15 @@ def ep_locate(family: Callable[[float], np.ndarray], bracket,
     if not a < b:
         raise ValueError(f"bracket must satisfy lo < hi, got ({a}, {b})")
 
-    def spread(p: float) -> float:
-        vals = eig(np.asarray(family(p), dtype=complex)).values
+    def spread(p: float) -> tuple[float, np.ndarray, np.ndarray]:
+        H = np.asarray(family(p), dtype=complex)
+        vals = eig(H).values
         if vals.size < 2:
             raise ValueError("family must have at least two eigenvalues")
-        return float(np.partition(np.abs(vals - target), 1)[1])
+        return float(np.partition(np.abs(vals - target), 1)[1]), H, vals
 
     grid = np.linspace(a, b, 41)
-    coarse = [spread(p) for p in grid]
+    coarse = [spread(p)[0] for p in grid]
     k = int(np.argmin(coarse))
     lo = float(grid[max(k - 1, 0)])
     hi = float(grid[min(k + 1, grid.size - 1)])
@@ -185,30 +178,28 @@ def ep_locate(family: Callable[[float], np.ndarray], bracket,
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
-    f1, f2 = spread(x1), spread(x2)
+    f1, f2 = spread(x1)[0], spread(x2)[0]
     while hi - lo > param_tol:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - invphi * (hi - lo)
             if not lo < x1 < hi:
                 break
-            f1 = spread(x1)
+            f1 = spread(x1)[0]
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + invphi * (hi - lo)
             if not lo < x2 < hi:
                 break
-            f2 = spread(x2)
+            f2 = spread(x2)[0]
     p_hat = (lo + hi) / 2.0
-    s_hat = spread(p_hat)
+    s_hat, H, vals = spread(p_hat)
     if s_hat > found_tol:
         return EPReport(False, p_hat, None, 0, 0, 0, s_hat)
 
-    H = np.asarray(family(p_hat), dtype=complex)
     radius = cluster_tol
     if radius is None:
         radius = max(5.0 * s_hat, 1e-7 * float(np.linalg.norm(H)))
-    vals = eig(H).values
     cluster = vals[np.abs(vals - target) <= radius]
     value = complex(cluster.mean()) if cluster.size else complex(target)
     alg, geo = multiplicities(H, value, tol=radius)

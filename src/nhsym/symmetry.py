@@ -1,26 +1,24 @@
 """Symmetry relations of non-Hermitian matrices: checkers and discovery.
 
-Every relation kind is linear in the operator M and reads
+Every relation kind is linear in the operator M: H M = M R(H), or
+H M = M R(H)^T for the transposing kinds, where R is one of the spectral
+``REFLECTIONS`` -H, conj(H) and -conj(H).  With M invertible, the same R
+maps the spectrum of H onto itself.  Antilinear operators are represented
+by their linear part, with the conjugation moved onto H.  One table,
+``RELATIONS``, records each kind's reflection and transpose (T) with the
+token model hints use for it and the relation name :func:`discover`
+accepts:
 
-    H M + sign * M B(H) = 0,
-
-where the partner B(H) is H, its transpose, its complex conjugate or its
-conjugate transpose.  Antilinear operators are represented by their
-linear part, with the conjugation moved onto H.  One table,
-``RELATIONS``, records each kind's partner and sign together with the
-token model hints use for it and, for the four kinds that can be
-discovered, the relation name :func:`discover` accepts:
-
-======================  =========  ====  ==========  =============
-kind                    B(H)       sign  hint        discover name
-======================  =========  ====  ==========  =============
-linear_anticommute      H          +     chiral      chiral
-antilinear_anticommute  conj(H)    +     nhph        nhph
-antilinear_commute      conj(H)    -     rt          bosonic
-transpose_minus         H^T        +     pseudo      pseudo_chiral
-dagger_plus             H^dagger   -     pseudoH
-dagger_minus            H^dagger   +     antipseudo
-======================  =========  ====  ==========  =============
+======================  ==========  =  ==========  =====================
+kind                    reflection  T  hint        discover name
+======================  ==========  =  ==========  =====================
+linear_anticommute      origin         chiral      chiral
+antilinear_anticommute  imag           nhph        nhph
+antilinear_commute      real           rt          bosonic
+transpose_minus         origin      T  pseudo      pseudo_chiral
+dagger_plus             real        T  pseudoH     pseudo_hermitian
+dagger_minus            imag        T  antipseudo  anti_pseudo_hermitian
+======================  ==========  =  ==========  =====================
 
 The table gives :func:`check` its residual, :func:`named_operator` and
 :func:`discover` their name lookups, and discovery both of its kernels.
@@ -28,9 +26,9 @@ The transpose and dagger relations are used in this inverse-free form, so
 a singular candidate can still be evaluated when explicitly allowed.
 
 Discovery is spectral where it can be.  For diagonalizable
-H = V diag(lam) V^-1 the partner diagonalizes as B(H) = P diag(mu) P^-1
-(mu = lam, or conj(lam) for the conjugating kinds), and with M = V Y P^-1
-the relation reads Y_ij (lam_i + sign * mu_j) = 0.  The solutions are
+H = V diag(lam) V^-1 the right factor diagonalizes as
+R(H) = P diag(R(lam)) P^-1 (likewise its transpose), and with M = V Y P^-1
+the relation reads Y_ij (lam_i - R(lam)_j) = 0.  The solutions are
 spanned by one rank-one eigen-dyad per matched eigenvalue pair, found in
 O(n^3) time.  A defective or badly conditioned H, and a caller-supplied
 basis, take the dense kernel instead: the nullspace of the matrix whose
@@ -61,42 +59,47 @@ DAGGER_PLUS = "dagger_plus"
 DAGGER_MINUS = "dagger_minus"
 
 
+# the image of H, or of its spectrum, under each reflection
+REFLECTIONS = {"origin": np.negative, "real": np.conj,
+               "imag": lambda values: -np.conj(values)}
+
+
 @dataclass(frozen=True)
 class Relation:
-    """One relation kind: ``H M + sign * M B(H) = 0``.
-
-    ``B(H)`` is H, complex conjugated if ``conj`` and transposed if
-    ``transpose``.  ``hint`` names the kind in model symmetry hints and
-    ``discover_name`` in :func:`discover` (None: not discoverable).
-    """
+    """One relation kind: ``H M = M R(H)``, or ``H M = M R(H)^T`` if
+    ``transpose``, with ``R = REFLECTIONS[reflection]``; ``hint`` names it
+    in model symmetry hints and ``discover_name`` in :func:`discover`."""
 
     hint: str
-    discover_name: str | None
-    conj: bool
+    discover_name: str
+    reflection: str
     transpose: bool
-    sign: int
+
+    @property
+    def conj(self) -> bool:
+        """Whether R conjugates H, as for the antilinear and dagger kinds."""
+        return self.reflection != "origin"
 
     def residual(self, H: np.ndarray, M: np.ndarray) -> np.ndarray:
-        """The relation's left side, for one operator or a stack of them."""
-        B = H.conj() if self.conj else H
-        HM, MB = H @ M, M @ (B.T if self.transpose else B)
-        return HM + MB if self.sign > 0 else HM - MB
+        """``H M - M R(H)`` (or R(H)^T), for one operator or a stack."""
+        R = REFLECTIONS[self.reflection](H)
+        return H @ M - M @ (R.T if self.transpose else R)
 
 
 RELATIONS = {
-    LINEAR_ANTICOMMUTE: Relation("chiral", "chiral", False, False, +1),
-    ANTILINEAR_ANTICOMMUTE: Relation("nhph", "nhph", True, False, +1),
-    ANTILINEAR_COMMUTE: Relation("rt", "bosonic", True, False, -1),
-    TRANSPOSE_MINUS: Relation("pseudo", "pseudo_chiral", False, True, +1),
-    DAGGER_PLUS: Relation("pseudoH", None, True, True, -1),
-    DAGGER_MINUS: Relation("antipseudo", None, True, True, +1),
+    LINEAR_ANTICOMMUTE: Relation("chiral", "chiral", "origin", False),
+    ANTILINEAR_ANTICOMMUTE: Relation("nhph", "nhph", "imag", False),
+    ANTILINEAR_COMMUTE: Relation("rt", "bosonic", "real", False),
+    TRANSPOSE_MINUS: Relation("pseudo", "pseudo_chiral", "origin", True),
+    DAGGER_PLUS: Relation("pseudoH", "pseudo_hermitian", "real", True),
+    DAGGER_MINUS: Relation("antipseudo", "anti_pseudo_hermitian", "imag",
+                           True),
 }
 
 KINDS = tuple(RELATIONS)
 
 _HINT_KINDS = {rel.hint: kind for kind, rel in RELATIONS.items()}
-_DISCOVER_KINDS = {rel.discover_name: kind for kind, rel in RELATIONS.items()
-                   if rel.discover_name is not None}
+_DISCOVER_KINDS = {rel.discover_name: kind for kind, rel in RELATIONS.items()}
 DISCOVER_RELATIONS = tuple(sorted(_DISCOVER_KINDS))
 
 COND_MAX = 1e8
@@ -230,22 +233,23 @@ def product_chiral(X, C, label: str = "") -> SymOp:
     When both ingredient relations hold for some H, the result anticommutes
     with that H; callers verify with :func:`check` rather than assuming.
     """
-    X = np.asarray(X, dtype=complex)
-    C = np.asarray(C, dtype=complex)
-    if X.shape != C.shape:
-        raise ValueError(f"shape mismatch: {X.shape} vs {C.shape}")
-    return SymOp(X @ C.conj(), LINEAR_ANTICOMMUTE, label=label)
+    return _product(X, C, LINEAR_ANTICOMMUTE, label)
 
 
 def product_pseudo(X, zeta, label: str = "") -> SymOp:
     """Transpose-type operator from an antilinear commuting X and a
     dagger-minus zeta: the product ``X @ conj(zeta)``.
     """
+    return _product(X, zeta, TRANSPOSE_MINUS, label)
+
+
+def _product(X, Y, kind: str, label: str) -> SymOp:
+    """The product rule: ``X @ conj(Y)`` as an operator of ``kind``."""
     X = np.asarray(X, dtype=complex)
-    zeta = np.asarray(zeta, dtype=complex)
-    if X.shape != zeta.shape:
-        raise ValueError(f"shape mismatch: {X.shape} vs {zeta.shape}")
-    return SymOp(X @ zeta.conj(), TRANSPOSE_MINUS, label=label)
+    Y = np.asarray(Y, dtype=complex)
+    if X.shape != Y.shape:
+        raise ValueError(f"shape mismatch: {X.shape} vs {Y.shape}")
+    return SymOp(X @ Y.conj(), kind, label=label)
 
 
 def sa_split(H) -> tuple[np.ndarray, np.ndarray]:
@@ -316,7 +320,7 @@ def discover(H, relation: str, basis=None, labels=None,
     """Find a basis of every operator satisfying a relation with H.
 
     Without a basis the search is spectral: H is diagonalized, every
-    eigenvalue pair (i, j) with ``|lam_i + sign * mu_j| <= tol * ||H||_F``
+    eigenvalue pair (i, j) with ``|lam_i - R(lam)_j| <= tol * ||H||_F``
     contributes the eigen-dyad ``v_i u_j^T`` (see the module docstring),
     and for such a dyad that gap over ``||H||_F`` is exactly its
     :func:`check` residual.  When the eigenvector matrix is badly
@@ -334,7 +338,7 @@ def discover(H, relation: str, basis=None, labels=None,
     H : array_like
         Square complex matrix with finite entries, at most 256x256.
     relation : str
-        One of ``bosonic``, ``chiral``, ``nhph``, ``pseudo_chiral``.
+        One of ``DISCOVER_RELATIONS``, the discover names of ``RELATIONS``.
     basis : sequence of array_like, optional
         Linearly independent matrices spanning the search space; defaults
         to the full matrix space.
@@ -401,12 +405,11 @@ def _eigen_dyads(H, kind: str, tol: float) -> list[SymOp] | None:
     sigma = np.linalg.svd(V, compute_uv=False)
     if sigma.size and not sigma[-1] * SPECTRAL_COND_MAX >= sigma[0]:
         return None
-    mu = lam.conj() if rel.conj else lam
-    gap = np.abs(lam[:, None] + rel.sign * mu[None, :])
+    gap = np.abs(lam[:, None] - REFLECTIONS[rel.reflection](lam)[None, :])
     i, j = np.nonzero(gap <= tol * _fro(H))
     if not i.size:
         return []
-    # rows u_j with B(H) = U^-1 diag(mu) U
+    # rows u_j with R(H) (transposed) = U^-1 diag(R(lam)) U
     U = V.T if rel.transpose else np.linalg.inv(V)
     if rel.conj:
         U = U.conj()

@@ -1,5 +1,9 @@
 """End-to-end runs of the console entry point (in process)."""
 
+import os
+import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -67,6 +71,24 @@ def test_check_discover_empty_exits_one(capsys):
                        "--discover", "chiral")
     assert code == 1
     assert "chiral solution space dimension 0" in out
+
+
+def test_check_discover_anti_pseudo_hermitian_on_chain(capsys):
+    code, out, _ = run(capsys, "check", "--preset", "chain",
+                       "--discover", "anti_pseudo_hermitian")
+    m = model.mirror_chain(0.0)
+    lam = np.linalg.eigvals(m.matrix)
+    # one eigen-dyad per pair lam_i = -conj(lam_j)
+    pairs = int((np.abs(lam[:, None] + lam.conj()[None, :])
+                 <= 1e-9 * np.linalg.norm(m.matrix)).sum())
+    assert code == 0 and pairs > 0
+    assert (f"{m.name}: anti_pseudo_hermitian solution space dimension "
+            f"{pairs}\n") in out
+    ops = symmetry.discover(m.matrix, "anti_pseudo_hermitian")
+    declared = symmetry.named_operator(m, "antipseudo:sublattice").matrix
+    A = np.column_stack([op.matrix.ravel() for op in ops])
+    coef = np.linalg.lstsq(A, declared.ravel(), rcond=None)[0]
+    assert np.linalg.norm(A @ coef - declared.ravel()) <= 1e-9
 
 
 def test_check_model_file_with_operator_file(capsys, tmp_path):
@@ -253,6 +275,10 @@ def test_ep_bracket_wider_than_floats_exits_two(capsys):
     (["check", "--preset", "dirac4a", "--g1=-nan"], "--g1"),
     (["ep", "--family", "jordan2", "--bracket", "-0.1", "0.1",
       "--target=-nan"], "--target"),
+    (["check", "--preset", "dirac4a", "--g1", "inf"], "--g1"),
+    (["check", "--preset", "dirac4a", "--g1", "1+infi"], "--g1"),
+    (["ep", "--family", "jordan2", "--bracket", "-0.1", "0.1",
+      "--target=-inf"], "--target"),
 ])
 def test_non_finite_argument_exits_two(capsys, argv, name):
     # refused as the argument they are, not later as a bad coupling or
@@ -277,3 +303,36 @@ def test_negative_numbers_are_values(capsys, argv, dest, value):
     assert getattr(cli.build_parser().parse_args(argv), dest) == value
     code, _, err = run(capsys, *argv)
     assert code in (0, 1) and err == ""
+
+
+def test_entry_point_runs_in_a_fresh_interpreter():
+    # every other test imports nhsym once per session; a fresh process is
+    # how the command runs, so an import-order fault shows here
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       os.pardir, "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))
+
+    def fresh(*argv):
+        return subprocess.run([sys.executable, "-m", "nhsym.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    done = fresh("check", "--preset", "dirac4a")
+    assert done.returncode == 0, done.stderr
+    assert "6/6 declared operators pass" in done.stdout
+    helped = fresh("check", "--help")
+    assert helped.returncode == 0, helped.stderr
+    for name in symmetry.DISCOVER_RELATIONS:
+        assert name in helped.stdout
+
+
+def test_readme_discover_relations_match_the_table():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    sentence = re.search(r"Relations for `--discover`:([^.]*)\.", text)
+    names = tuple(re.findall(r"`(\w+)`", sentence.group(1)))
+    assert names == symmetry.DISCOVER_RELATIONS

@@ -91,6 +91,9 @@ def test_parse_expr_errors_report_position():
         clifford.parse_expr("g0 g1")
     with pytest.raises(ValueError):
         clifford.parse_expr("")
+    # "inf" is not read as "jnf"
+    with pytest.raises(ValueError, match="position 0: .*finite"):
+        clifford.parse_expr("(inf+0i)*g1")
 
 
 def test_expr_arithmetic():

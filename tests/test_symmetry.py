@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
-from nhsym import clifford, model, symmetry
+from nhsym import cli, clifford, linalg, model, spectra, symmetry
 from nhsym.clifford import gamma
 from nhsym.symmetry import (ANTILINEAR_ANTICOMMUTE, ANTILINEAR_COMMUTE,
                             DAGGER_MINUS, DAGGER_PLUS, LINEAR_ANTICOMMUTE,
@@ -272,6 +272,65 @@ def test_discover_other_relations_on_wheel():
         assert ops, relation
         for op in ops:
             assert check(H, op) <= 1e-9
+
+
+def test_discover_dagger_kinds_on_hermitian_models():
+    # for Hermitian H, H^dagger = H: a pseudo-Hermitian operator commutes
+    # with H and an anti-pseudo-Hermitian one anticommutes with it
+    basis, labels = clifford.basis16(), clifford.basis16_labels()
+    pyramid = model.pyramid("nochiral", 1.0, 0.5, 0.8).matrix
+    dirac = model.dirac4("b", 1.0, 0.5).matrix
+    commuting = symmetry.discover(pyramid, "pseudo_hermitian", basis=basis,
+                                  labels=labels)
+    anticommuting = symmetry.discover(dirac, "anti_pseudo_hermitian",
+                                      basis=basis, labels=labels)
+    chiral = symmetry.discover(dirac, "chiral", basis=basis, labels=labels)
+    assert "(1+0i)*1" in [op.label for op in commuting]
+    assert len(chiral) == 4
+    assert _in_span(chiral, anticommuting) <= 1e-9
+    for H, relation, ops in ((pyramid, "pseudo_hermitian", commuting),
+                             (dirac, "anti_pseudo_hermitian", anticommuting)):
+        assert_allclose(H, H.conj().T, atol=0)
+        assert len(ops) == len(symmetry.discover(H, relation)) == 4
+        for op in ops:
+            assert check(H, op) <= 1e-9
+            assert op.label
+
+
+def _preset_models():
+    """Every preset at the CLI defaults and on seeded parameter sets."""
+    rng = np.random.default_rng(14)
+    sets = [[]]
+    for _ in range(12):
+        z = rng.normal(size=(4, 2)).round(3)
+        sets.append([f"--{name}={a}{b:+}i" for name, (a, b)
+                     in zip(("g1", "g2", "g3", "beta"), z)]
+                    + [f"--g={rng.uniform(0.5, 2):.3f}",
+                       f"--tau={rng.uniform(0, 2):.3f}",
+                       f"--delta={rng.uniform(0, 1):.3f}"])
+    parser = cli.build_parser()
+    for params in sets:
+        for name, build in cli.PRESETS.items():
+            yield build(parser.parse_args(["check", "--preset", name]
+                                          + params))
+
+
+def test_declared_relations_force_their_spectral_reflection():
+    # the paper's claim: an invertible operator in relation with H maps
+    # the spectrum onto its image under the relation's reflection
+    checked = set()
+    for m in _preset_models():
+        values = linalg.eig(m.matrix).values
+        for hint in m.symmetry_hints:
+            op = symmetry.named_operator(m, hint)
+            if not np.linalg.cond(op.matrix) <= symmetry.COND_MAX:
+                continue
+            assert check(m.matrix, op) <= symmetry.PASS_TOL, (m.name, hint)
+            reflection = symmetry.RELATIONS[op.kind].reflection
+            assert spectra.reflection_defect(values, reflection) <= 1e-8, \
+                (m.name, hint)
+            checked.add(op.kind)
+    assert checked == set(symmetry.KINDS) - {symmetry.DAGGER_PLUS}
 
 
 def test_discover_validation():
