@@ -54,7 +54,7 @@ def _finite(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        value = float("nan")
+        raise argparse.ArgumentTypeError(f"bad number {text!r}") from None
     if not np.isfinite(value):
         raise argparse.ArgumentTypeError(
             f"number must be finite, got {text!r}")

@@ -43,6 +43,7 @@ transpose-type symmetry.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -181,6 +182,11 @@ def _unit_scaled(A: np.ndarray) -> np.ndarray:
 # operators verified per stacked residual, bounding the (block, n, n)
 # temporaries of one discovery's verification
 VERIFY_BLOCK = 8
+
+
+# entries of the (solutions, k, n, n) products that one block of a dense
+# kernel's basis sums holds: 1 MB, or one solution's where that is more
+SUM_BLOCK = 2**16
 
 
 def _residuals(H: np.ndarray, kind: str, mats: np.ndarray) -> np.ndarray:
@@ -341,7 +347,11 @@ def discover(H, relation: str, basis=None, labels=None,
         One of ``DISCOVER_RELATIONS``, the discover names of ``RELATIONS``.
     basis : sequence of array_like, optional
         Linearly independent matrices spanning the search space; defaults
-        to the full matrix space.
+        to the full matrix space.  Independence is judged relative to the
+        basis scale (every singular value of the stacked elements above
+        ``1e-10 * max(n, k)`` times the largest), so a rescaled basis gets
+        the same verdict, and it is proved once per distinct basis
+        content: passing the same matrices again reuses the verdict.
     labels : sequence of index tuples, optional
         One generator product per basis element, as
         :func:`clifford.basis16_labels` gives them; only with a basis.
@@ -381,8 +391,7 @@ def discover(H, relation: str, basis=None, labels=None,
         if any(b.shape != (n, n) for b in mats):
             raise ValueError("basis elements must match H's shape")
         mats = np.array(mats)
-        k = len(mats)
-        if np.linalg.matrix_rank(mats.reshape(k, -1), tol=1e-10 * max(n, k)) < k:
+        if not _independent(mats.shape, mats.tobytes()):
             raise ValueError("basis elements are linearly dependent")
         return _dense_kernel(H, kind, mats, labels, tol)
     ops = _eigen_dyads(H, kind, tol)
@@ -396,6 +405,19 @@ def discover(H, relation: str, basis=None, labels=None,
         )
     units = np.eye(n * n).reshape(n * n, n, n).transpose(0, 2, 1)
     return _dense_kernel(H, kind, units, None, tol)
+
+
+# the keys hold each basis's bytes, so only a few are kept
+@functools.lru_cache(maxsize=4)
+def _independent(shape: tuple, data: bytes) -> bool:
+    """Whether the (k, n, n) stack of complex matrices with these bytes is
+    linearly independent: it has k singular values, each above
+    ``1e-10 * max(n, k)`` times the largest.  Memoized by content, so a
+    basis is proved once however often it is passed."""
+    k, n = shape[0], shape[-1]
+    flat = np.frombuffer(data, dtype=complex).reshape(k, -1)
+    sigma = np.linalg.svd(flat, compute_uv=False)
+    return sigma.size == k and bool(sigma[-1] > 1e-10 * max(n, k) * sigma[0])
 
 
 def _eigen_dyads(H, kind: str, tol: float) -> list[SymOp] | None:
@@ -432,16 +454,19 @@ def _dense_kernel(H, kind: str, mats: np.ndarray, labels,
     """Solutions in the span of the (k, n, n) stack ``mats``: the nullspace
     of the n^2 x k matrix whose column a is the column-stacked residual of
     ``mats[a]``."""
-    k, n = len(mats), H.shape[0]
+    k = len(mats)
     R = RELATIONS[kind].residual(H, mats)
     coeffs = _pivot_normalized(
         nullspace(R.transpose(0, 2, 1).reshape(k, -1).T, tol).T)
-    # one ordered sum over the basis per solution: tensordot would regroup
-    # the additions and change the last digits of the result, and a single
-    # broadcast would hold a (solutions, k, n, n) temporary
-    sols = np.empty((len(coeffs), n, n), dtype=complex)
-    for M, c in zip(sols, coeffs):
-        M[...] = (c[:, None, None] * mats).sum(axis=0)
+    # each solution an ordered sum over the basis, a block of solutions at
+    # a time: tensordot would regroup the additions and change the last
+    # digits of the result, and one broadcast over all solutions would hold
+    # a (solutions, k, n, n) temporary
+    sols = np.empty((len(coeffs),) + mats.shape[1:], dtype=complex)
+    block = max(1, SUM_BLOCK // mats.size)
+    for s in range(0, len(coeffs), block):
+        sols[s:s + block] = (coeffs[s:s + block, :, None, None]
+                             * mats).sum(axis=1)
     r = _residuals(H, kind, sols)
     failed = np.flatnonzero(~(r <= tol))
     if failed.size:
@@ -455,8 +480,11 @@ def _coefficient_label(c, labels) -> str:
     if labels is None:
         return ""
     cutoff = 1e-12 * float(np.abs(c).max())
-    return clifford.format_expr(clifford.GammaExpr.from_terms(
-        (labels[a], x) for a, x in enumerate(c) if abs(x) > cutoff))
+    # abs of each Python complex, as the scalar abs that the filter has
+    # always used: np.abs of the array can differ in the last bit
+    return clifford._expansion_text(
+        tuple(map(tuple, labels)),
+        [x if abs(x) > cutoff else None for x in c.tolist()])
 
 
 def named_operator(m, hint: str) -> SymOp:

@@ -290,6 +290,17 @@ def test_non_finite_argument_exits_two(capsys, argv, name):
     assert f"argument {name}" in err and "must be finite" in err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["check", "--preset", "flake", "--g", "x"], "--g"),
+    (["check", "--preset", "flake", "--tau", "x"], "--tau"),
+    (["ep", "--family", "jordan2", "--bracket", "x", "1"], "--bracket"),
+])
+def test_unreadable_number_exits_two(capsys, argv, name):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert f"argument {name}: bad number 'x'" in err
+
+
 @pytest.mark.parametrize("argv, dest, value", [
     (["ep", "--family", "jordan2", "--bracket", "-1e-1", "0.1"],
      "bracket", [-0.1, 0.1]),
