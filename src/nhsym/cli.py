@@ -65,7 +65,7 @@ def _tolerance(text: str) -> float:
     try:
         tol = float(text)
     except ValueError:
-        tol = float("nan")
+        raise argparse.ArgumentTypeError(f"bad number {text!r}") from None
     if not (np.isfinite(tol) and tol > 0):
         raise argparse.ArgumentTypeError(
             f"tolerance must be a finite positive number, got {text!r}")

@@ -60,7 +60,7 @@ def _as_square(H, name: str = "H") -> np.ndarray:
         raise ValueError(f"{name} must be square, got shape {H.shape}")
     if H.shape[0] > MAX_DENSE:
         raise ValueError(f"{name} exceeds the dense cap ({H.shape[0]} > {MAX_DENSE})")
-    if not np.all(np.isfinite(H)):
+    if not np.isfinite(H).all():
         raise ValueError(f"{name} has non-finite entries")
     return H
 

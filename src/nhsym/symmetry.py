@@ -30,7 +30,9 @@ H = V diag(lam) V^-1 the right factor diagonalizes as
 R(H) = P diag(R(lam)) P^-1 (likewise its transpose), and with M = V Y P^-1
 the relation reads Y_ij (lam_i - R(lam)_j) = 0.  The solutions are
 spanned by one rank-one eigen-dyad per matched eigenvalue pair, found in
-O(n^3) time.  A defective or badly conditioned H, and a caller-supplied
+O(n^3) time.  The dyads are verified by a rigorous bound on their
+residual, built from each eigenvector's backward error, so no dyad is
+multiplied out.  A defective or badly conditioned H, and a caller-supplied
 basis, take the dense kernel instead: the nullspace of the matrix whose
 columns are the residual map applied to each basis element (by default
 the n^2 unit matrices, an n^2 x n^2 matrix, hence capped at n = 32).
@@ -81,10 +83,15 @@ class Relation:
         """Whether R conjugates H, as for the antilinear and dagger kinds."""
         return self.reflection != "origin"
 
-    def residual(self, H: np.ndarray, M: np.ndarray) -> np.ndarray:
-        """``H M - M R(H)`` (or R(H)^T), for one operator or a stack."""
+    def right(self, H: np.ndarray) -> np.ndarray:
+        """The relation's right factor: R(H), or R(H)^T if ``transpose``."""
         R = REFLECTIONS[self.reflection](H)
-        return H @ M - M @ (R.T if self.transpose else R)
+        return R.T if self.transpose else R
+
+    def residual(self, H: np.ndarray, M: np.ndarray) -> np.ndarray:
+        """``H M - M B`` with B the right factor, for one operator or a
+        stack."""
+        return H @ M - M @ self.right(H)
 
 
 RELATIONS = {
@@ -192,9 +199,9 @@ SUM_BLOCK = 2**16
 def _residuals(H: np.ndarray, kind: str, mats: np.ndarray) -> np.ndarray:
     """:func:`check`'s residual of every matrix of the (k, n, n) stack
     ``mats`` as an operator of ``kind``, verified ``VERIFY_BLOCK`` at a
-    time.  Not finite where H has non-finite entries."""
+    time.  H must already be :func:`_unit_scaled`.  Not finite where H has
+    non-finite entries."""
     rel = RELATIONS[kind]
-    H = _unit_scaled(H)
     norm_h = _fro(H)
     out = np.zeros(len(mats))
     for s in range(0, len(mats), VERIFY_BLOCK):
@@ -225,7 +232,7 @@ def check(H, op: SymOp) -> float:
     M = op.matrix
     if H.shape != M.shape:
         raise ValueError(f"dimension mismatch: H {H.shape} vs operator {M.shape}")
-    r = float(_residuals(H, op.kind, M[None])[0])
+    r = float(_residuals(_unit_scaled(H), op.kind, M[None])[0])
     if not np.isfinite(r):
         raise ValueError(f"{op.kind} residual is not finite; "
                          "H has non-finite entries")
@@ -329,15 +336,17 @@ def discover(H, relation: str, basis=None, labels=None,
     eigenvalue pair (i, j) with ``|lam_i - R(lam)_j| <= tol * ||H||_F``
     contributes the eigen-dyad ``v_i u_j^T`` (see the module docstring),
     and for such a dyad that gap over ``||H||_F`` is exactly its
-    :func:`check` residual.  When the eigenvector matrix is badly
-    conditioned (cond above ``SPECTRAL_COND_MAX``, as near an exceptional
-    point) or a dyad fails verification, the dense kernel over the n^2
-    unit matrices runs instead; it needs an n^2 x n^2 matrix and is
-    refused above ``DENSE_KERNEL_MAX_N``.  With a basis, the dense kernel
-    runs over the basis, restricting the search to its span; there ``tol``
-    is the relative singular-value threshold of the nullspace.  On either
-    path every returned operator is verified: its residual is at most
-    ``tol``.
+    :func:`check` residual.  In floating point each dyad is verified by a
+    rigorous upper bound on that residual: the gap plus the backward errors
+    of ``v_i`` and ``u_j``, over ``||H||_F``.  When the eigenvector matrix
+    is badly conditioned (cond above ``SPECTRAL_COND_MAX``, as near an
+    exceptional point) or a dyad's bound exceeds ``tol``, the dense kernel
+    over the n^2 unit matrices runs instead; it needs an n^2 x n^2 matrix
+    and is refused above ``DENSE_KERNEL_MAX_N``.  With a basis, the dense
+    kernel runs over the basis, restricting the search to its span; there
+    ``tol`` is the relative singular-value threshold of the nullspace.  On
+    either path every returned operator is verified: its residual is at
+    most ``tol``.
 
     Parameters
     ----------
@@ -346,12 +355,13 @@ def discover(H, relation: str, basis=None, labels=None,
     relation : str
         One of ``DISCOVER_RELATIONS``, the discover names of ``RELATIONS``.
     basis : sequence of array_like, optional
-        Linearly independent matrices spanning the search space; defaults
-        to the full matrix space.  Independence is judged relative to the
-        basis scale (every singular value of the stacked elements above
-        ``1e-10 * max(n, k)`` times the largest), so a rescaled basis gets
-        the same verdict, and it is proved once per distinct basis
-        content: passing the same matrices again reuses the verdict.
+        Linearly independent matrices with finite entries spanning the
+        search space, at least one; defaults to the full matrix space.
+        Independence is judged relative to the basis scale (every singular
+        value of the stacked elements above ``1e-10 * max(n, k)`` times the
+        largest), so a rescaled basis gets the same verdict, and it is
+        proved once per distinct basis content: passing the same matrices
+        again reuses the verdict.
     labels : sequence of index tuples, optional
         One generator product per basis element, as
         :func:`clifford.basis16_labels` gives them; only with a basis.
@@ -388,9 +398,13 @@ def discover(H, relation: str, basis=None, labels=None,
         raise ValueError("labels need a basis, one label per element")
     if basis is not None:
         mats = [np.asarray(b, dtype=complex) for b in basis]
+        if not mats:
+            raise ValueError("basis is empty")
         if any(b.shape != (n, n) for b in mats):
             raise ValueError("basis elements must match H's shape")
         mats = np.array(mats)
+        if not np.isfinite(mats).all():
+            raise ValueError("basis elements have non-finite entries")
         if not _independent(mats.shape, mats.tobytes()):
             raise ValueError("basis elements are linearly dependent")
         return _dense_kernel(H, kind, mats, labels, tol)
@@ -435,12 +449,34 @@ def _eigen_dyads(H, kind: str, tol: float) -> list[SymOp] | None:
     U = V.T if rel.transpose else np.linalg.inv(V)
     if rel.conj:
         U = U.conj()
+    if not np.all(_dyad_bounds(H, rel, lam, V, U, i, j) <= tol):
+        return None
     # both pivots become 1, so each dyad's largest entry is 1
     X = (_pivot_normalized(V.T[i])[:, :, None]
          * _pivot_normalized(U[j])[:, None, :])
-    if not np.all(_residuals(H, kind, X) <= tol):
-        return None
     return [SymOp(x, kind, allow_singular=True) for x in X]
+
+
+def _dyad_bounds(H, rel: Relation, lam, V, U, i, j) -> np.ndarray:
+    """Upper bounds on :func:`check`'s residual of the eigen-dyads
+    ``V[:, i] U[j]``, from backward errors of each eigenvector.
+
+    With a = V[:, i], b = U[j] and B the relation's right factor, let
+    e_a = H a - lam_i a and e_b = B^T b - R(lam)_j b.  Then
+    H ab^T - ab^T B = (lam_i - R(lam)_j) ab^T + e_a b^T - a e_b^T, and as
+    ||ab^T||_F = ||a|| ||b||, the residual is at most
+    (|lam_i - R(lam)_j| + ||e_a|| / ||a|| + ||e_b|| / ||b||) / ||H||_F.
+    Two n x n products serve every pair; no dyad is formed.
+    """
+    mu = REFLECTIONS[rel.reflection](lam)
+    back_v = (np.linalg.norm(H @ V - V * lam, axis=0)
+              / np.linalg.norm(V, axis=0))
+    back_u = (np.linalg.norm(U @ rel.right(H) - mu[:, None] * U, axis=1)
+              / np.linalg.norm(U, axis=1))
+    bound = np.abs(lam[i] - mu[j]) + back_v[i] + back_u[j]
+    norm_h = _fro(H)
+    # for H = 0 every term is 0, and so is check's residual
+    return bound / norm_h if norm_h else bound
 
 
 def _pivot_normalized(rows: np.ndarray) -> np.ndarray:

@@ -198,7 +198,10 @@ def test_bad_tolerance_exits_two(capsys, tol):
                  ["ep", "--family", "jordan2", "--bracket", "0.5", "1"]):
         assert cli.main(argv + [f"--tol={tol}"]) == 2
         err = capsys.readouterr().err
-        assert "finite positive" in err
+        if tol == "x":
+            assert "bad number 'x'" in err
+        else:
+            assert "finite positive" in err
 
 
 def _failed_eig(*args, **kwargs):

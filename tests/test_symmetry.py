@@ -111,17 +111,23 @@ def _residual_one(H, kind, M):
 
 def test_stacked_residuals_match_per_operator_across_blocks():
     rng = np.random.default_rng(4)
-    H = 1e200 * (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    H = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     k = 2 * symmetry.VERIFY_BLOCK + 3
     mats = rng.normal(size=(k, 5, 5)) + 1j * rng.normal(size=(k, 5, 5))
     mats[k // 2] = 0
     for kind in symmetry.KINDS:
-        got = symmetry._residuals(H, kind, mats)
+        # _residuals takes H as discover and check pass it, unit scaled
+        got = symmetry._residuals(symmetry._unit_scaled(H), kind, mats)
         assert got[k // 2] == 0.0
         # equal up to rounding: BLAS may round differently with the
         # alignment of an operator inside the stack
         assert_allclose(got, [_residual_one(H, kind, M) for M in mats],
                         rtol=1e-14, atol=0)
+        # check scales H itself, so a huge H gives the same residual
+        for M in mats[:3]:
+            op = SymOp(M, kind, allow_singular=True)
+            assert_allclose(check(1e200 * H, op), check(H, op),
+                            rtol=1e-14, atol=0)
 
 
 def test_symop_validation():
@@ -340,6 +346,13 @@ def test_discover_validation():
         symmetry.discover(SZ, "chiral", basis=[np.eye(3)])
     with pytest.raises(ValueError, match="dependent"):
         symmetry.discover(SZ, "chiral", basis=[SZ, 2 * SZ])
+    with pytest.raises(ValueError, match="basis is empty"):
+        symmetry.discover(SZ, "chiral", basis=[])
+    for bad in (np.nan, np.inf, complex(0, -np.inf)):
+        element = SZ.copy()
+        element[0, 1] = bad
+        with pytest.raises(ValueError, match="basis elements have non-finite"):
+            symmetry.discover(SZ, "chiral", basis=[SX, element])
     for tol in (np.nan, np.inf, 0.0, -1e-9):
         with pytest.raises(ValueError, match="tol"):
             symmetry.discover(SZ, "chiral", tol=tol)
@@ -430,7 +443,7 @@ def test_discover_without_matched_pair_skips_the_dyad_work(monkeypatch):
     def no_verification(*args):
         raise AssertionError("nothing to verify")
 
-    monkeypatch.setattr(symmetry, "_residuals", no_verification)
+    monkeypatch.setattr(symmetry, "_dyad_bounds", no_verification)
     # positive real and imaginary parts: no lam_i + lam_j, lam_i + conj(lam_j)
     # or lam_i - conj(lam_j) vanishes
     lam = np.array([1 + 1j, 2 + 3j, 3 + 0.5j, 0.5 + 2j])
@@ -441,27 +454,36 @@ def test_discover_without_matched_pair_skips_the_dyad_work(monkeypatch):
 
 
 def test_discover_failed_dyad_falls_back_to_dense_kernel(monkeypatch):
-    residuals, nullspace = symmetry._residuals, symmetry.nullspace
-    residual_calls, nullspace_shapes = [], []
+    bounds, residuals = symmetry._dyad_bounds, symmetry._residuals
+    nullspace = symmetry.nullspace
+    bound_calls, residual_calls, nullspace_shapes = [], [], []
 
-    def first_stack_fails(H, kind, mats):
+    def failing_bounds(*args):
+        b = bounds(*args)
+        bound_calls.append(len(b))
+        # just above discover's default tol of 1e-9
+        return b + 1.5e-9
+
+    def recording_residuals(H, kind, mats):
         residual_calls.append(len(mats))
-        r = residuals(H, kind, mats)
-        return r + 1.0 if len(residual_calls) == 1 else r
+        return residuals(H, kind, mats)
 
     def recording_nullspace(M, tol):
         nullspace_shapes.append(M.shape)
         return nullspace(M, tol)
 
-    monkeypatch.setattr(symmetry, "_residuals", first_stack_fails)
+    monkeypatch.setattr(symmetry, "_dyad_bounds", failing_bounds)
+    monkeypatch.setattr(symmetry, "_residuals", recording_residuals)
     monkeypatch.setattr(symmetry, "nullspace", recording_nullspace)
     rng = np.random.default_rng(9)
     V = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     H = V @ np.diag([2.0, -2.0, 0.7]) @ np.linalg.inv(V)
     ops = symmetry.discover(H, "chiral")
-    # the spectral path verified its two dyads in one stack and failed;
-    # the dense kernel over the 9 unit matrices found the same dimension
-    assert residual_calls == [2, 2]
+    # the spectral path bounded its two dyads at once and failed; the
+    # dense kernel over the 9 unit matrices found the same dimension and
+    # verified its two solutions explicitly
+    assert bound_calls == [2]
+    assert residual_calls == [2]
     assert nullspace_shapes == [(9, 9)]
     assert len(ops) == 2
     for op in ops:
