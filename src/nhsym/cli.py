@@ -245,7 +245,7 @@ def cmd_ep(args) -> int:
               f"(best spread {report.spread:.3e} at {report.parameter:.12g})")
         return 1
     print(f"{name}: exceptional point at parameter {report.parameter:.12g}")
-    print(f"  eigenvalue {report.value.real:.12g}{report.value.imag:+.12g}i, "
+    print(f"  eigenvalue {clifford._format_complex(report.value)}, "
           f"algebraic {report.algebraic}, geometric {report.geometric}, "
           f"order {report.order}")
     return 0

@@ -115,10 +115,7 @@ def _read_complex(text: str) -> complex:
 
 
 def _format_complex(z: complex) -> str:
-    re_s = format(z.real, ".12g")
-    im_s = format(z.imag, ".12g")
-    sign = "+" if not im_s.startswith("-") else ""
-    return f"{re_s}{sign}{im_s}i"
+    return f"{z.real:.12g}{z.imag:+.12g}i"
 
 
 @dataclass(frozen=True)
@@ -141,15 +138,6 @@ class GammaExpr:
         return GammaExpr(tuple(
             (indices, c) for indices, _, c in
             _plan_sums(plan, [complex(coeff) for _, coeff in pairs])))
-
-    def __add__(self, other: "GammaExpr") -> "GammaExpr":
-        return GammaExpr.from_terms(list(self.terms) + list(other.terms))
-
-    def __sub__(self, other: "GammaExpr") -> "GammaExpr":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "GammaExpr":
-        return GammaExpr.from_terms([(l, scalar * c) for l, c in self.terms])
 
     def to_matrix(self) -> np.ndarray:
         out = np.zeros((4, 4), dtype=complex)

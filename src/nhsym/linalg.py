@@ -1,9 +1,10 @@
 """Dense complex linear algebra for small general (non-Hermitian) matrices.
 
-Thin, deterministic wrappers around LAPACK through scipy: full
-eigendecompositions with matched left and right vectors, SVD-based
-nullspaces, and eigenvalue multiplicity counts around a target point.
-Everything is dense and deliberately capped at 256x256.
+Thin, deterministic wrappers around LAPACK through numpy: full
+eigendecompositions with right eigenvectors (the left eigenvectors of H
+are the right ones of H.T), SVD-based nullspaces, and eigenvalue
+multiplicity counts around a target point.  Everything is dense and
+deliberately capped at 256x256.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 MAX_DENSE = 256
 
@@ -39,18 +39,17 @@ class ClusterWarning(UserWarning):
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Eigendecomposition with matched left and right vectors.
+    """Eigendecomposition with right eigenvectors.
 
-    ``values[mu]`` goes with right vector ``right_vectors[:, mu]`` (columns,
-    H @ psi = eps * psi) and left vector ``left_vectors[:, mu]`` satisfying
-    ``left.T @ H = eps * left.T`` (equivalently H.T @ left = eps * left).
-    Vectors have unit Euclidean norm; ``residuals[mu]`` is the larger of
-    the right and left backward-error norms for that pair.
+    ``values[mu]`` goes with ``right_vectors[:, mu]`` (columns,
+    H @ psi = eps * psi), which has unit Euclidean norm; ``residuals[mu]``
+    is that pair's backward-error norm ``||H @ psi - eps * psi||``.  Left
+    eigenvectors (``phi.T @ H = eps * phi.T``) are the right vectors of
+    ``eig(H.T)``.
     """
 
     values: np.ndarray
     right_vectors: np.ndarray
-    left_vectors: np.ndarray
     residuals: np.ndarray
 
 
@@ -71,6 +70,44 @@ def _require_tol(tol, name: str = "tol") -> None:
         raise ValueError(f"{name} must be finite and positive, got {tol!r}")
 
 
+def _unit_factors(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per matrix of A (one matrix, or a (k, n, n) stack): the power of two
+    that brings its largest real or imaginary part into [0.5, 1), and
+    whether the matrix is nonzero and finite, so that the power applies."""
+    re = np.abs(A.real).max(axis=(-2, -1), initial=0.0)
+    im = np.abs(A.imag).max(axis=(-2, -1), initial=0.0)
+    # the larger of the two, or the real part's peak when they are
+    # unordered (a NaN)
+    peak = np.where(im > re, im, re)
+    # clamped so the factor itself stays finite for a subnormal peak
+    factor = np.ldexp(1.0, -np.maximum(np.frexp(peak)[1], -1021))
+    return factor, (0 < peak) & (peak < np.inf)
+
+
+def _unit_scaled(A: np.ndarray) -> np.ndarray:
+    """A times the power of two that brings its largest real or imaginary
+    part into [0.5, 1).  The rescaling is exact, and afterwards products
+    and Frobenius norms of n x n matrices cannot overflow.  A zero or
+    non-finite A is returned as is.  A (k, n, n) stack is scaled matrix
+    by matrix."""
+    factor, ok = _unit_factors(A)
+    if ok.all():
+        return A * factor[..., None, None]
+    out = A.copy()
+    out[ok] = A[ok] * factor[ok][:, None, None]
+    return out
+
+
+def _fro_norm(H: np.ndarray) -> float:
+    """||H||_F, taken on the power-of-two rescaled H so that no square
+    overflows (``np.linalg.norm(H)`` is inf above about 1e154); bit for
+    bit ``np.linalg.norm(H)`` wherever no square overflows or underflows."""
+    factor, ok = _unit_factors(H)
+    if not ok:
+        return float(np.linalg.norm(H))
+    return float(np.linalg.norm(H * factor)) / float(factor)
+
+
 def _fix_phase(vectors: np.ndarray) -> np.ndarray:
     """Scale each column so its largest-magnitude entry is real positive."""
     if vectors.size == 0:
@@ -83,23 +120,20 @@ def _fix_phase(vectors: np.ndarray) -> np.ndarray:
     return vectors * phases
 
 
-def eig(H, tol: float = TOL_EIG) -> EigenSystem:
-    """Full eigendecomposition with left and right vectors.
+def eig(H) -> EigenSystem:
+    """Full eigendecomposition with right vectors.
 
     Parameters
     ----------
     H : array_like
         Square complex matrix, at most 256x256.
-    tol : float
-        Relative backward-error bound, finite and positive; every returned
-        pair satisfies ``||H @ psi - eps * psi|| <= tol * ||H||_F`` and the
-        transposed relation for the left vector.
 
     Returns
     -------
     EigenSystem
         Eigenvalues sorted by real part, then imaginary part, ties kept in
-        LAPACK order, with vectors permuted to match.
+        LAPACK order, with vectors permuted to match.  Every pair satisfies
+        ``||H @ psi - eps * psi|| <= TOL_EIG * ||H||_F``.
 
     Raises
     ------
@@ -107,28 +141,20 @@ def eig(H, tol: float = TOL_EIG) -> EigenSystem:
         If the decomposition does not meet the residual bound; the worst
         residual achieved is carried on the exception.
     """
-    _require_tol(tol)
     H = _as_square(H)
     n = H.shape[0]
     try:
-        w, vl, vr = scipy.linalg.eig(H, left=True, right=True)
-    except scipy.linalg.LinAlgError as exc:
+        w, vr = np.linalg.eig(H)
+    except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition failed: {exc}", np.inf) from exc
-    # scipy's vl satisfies vl^H @ H = w * vl^H; conjugating gives vectors
-    # of H.T with the same eigenvalue
-    left = np.conj(vl)
     order = np.lexsort((np.arange(n), w.imag, w.real))
     w = w[order]
     right = _fix_phase(vr[:, order] / np.linalg.norm(vr[:, order], axis=0))
-    left = _fix_phase(left[:, order] / np.linalg.norm(left[:, order], axis=0))
-    scale = np.linalg.norm(H)
-    res_r = np.linalg.norm(H @ right - right * w, axis=0)
-    res_l = np.linalg.norm(H.T @ left - left * w, axis=0)
-    residuals = np.maximum(res_r, res_l)
+    residuals = np.linalg.norm(H @ right - right * w, axis=0)
     worst = float(residuals.max()) if n else 0.0
-    if worst > tol * max(scale, 1e-300):
+    if worst > TOL_EIG * max(_fro_norm(H), 1e-300):
         raise ConvergenceError("eigenpair residual bound violated", worst)
-    return EigenSystem(w, right, left, residuals)
+    return EigenSystem(w, right, residuals)
 
 
 def nullspace(M, tol: float = 1e-8) -> np.ndarray:
@@ -191,7 +217,7 @@ def multiplicities(H, center: complex, tol: float | None = None) -> tuple[int, i
         so the cluster boundary is not cleanly separated.
     """
     H = _as_square(H)
-    scale = np.linalg.norm(H)
+    scale = _fro_norm(H)
     if tol is None:
         tol = TOL_CLUSTER * max(scale, 1.0)
     _require_tol(tol)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import model as model_mod
-from .linalg import _require_tol, eig, multiplicities
+from .linalg import _fro_norm, _require_tol, eig, multiplicities
 from .symmetry import REFLECTIONS
 
 CLASSIFY_TOL = 1e-8
@@ -95,7 +95,7 @@ def zero_modes(H, tol: float = 1e-9) -> list[ZeroMode]:
     _require_tol(tol)
     H = np.asarray(H, dtype=complex)
     system = eig(H)
-    scale = max(float(np.linalg.norm(H)), 1e-300)
+    scale = max(_fro_norm(H), 1e-300)
     out = []
     for idx, value in enumerate(system.values):
         value = complex(value)
@@ -199,7 +199,7 @@ def ep_locate(family: Callable[[float], np.ndarray], bracket,
 
     radius = cluster_tol
     if radius is None:
-        radius = max(5.0 * s_hat, 1e-7 * float(np.linalg.norm(H)))
+        radius = max(5.0 * s_hat, 1e-7 * _fro_norm(H))
     cluster = vals[np.abs(vals - target) <= radius]
     value = complex(cluster.mean()) if cluster.size else complex(target)
     alg, geo = multiplicities(H, value, tol=radius)
@@ -398,7 +398,7 @@ def mode_profile(H, value: complex, m, tol: float = 1e-7) -> ProfileResult:
     if H.shape[0] != m.n_sites:
         raise ValueError(f"matrix size {H.shape[0]} != {m.n_sites} sites")
     system = eig(H)
-    scale = max(float(np.linalg.norm(H)), 1e-300)
+    scale = max(_fro_norm(H), 1e-300)
     dist = np.abs(system.values - value)
     inside = dist <= tol * scale
     if not inside.any():

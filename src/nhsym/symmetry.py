@@ -52,7 +52,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _records, clifford, model as model_mod
-from .linalg import _as_square, _require_tol, nullspace
+from .linalg import (MAX_DENSE, _as_square, _require_tol, _unit_scaled,
+                     nullspace)
 
 LINEAR_ANTICOMMUTE = "linear_anticommute"
 ANTILINEAR_ANTICOMMUTE = "antilinear_anticommute"
@@ -163,27 +164,6 @@ def _fro_norms(A: np.ndarray) -> np.ndarray:
     re, im = A.real.reshape(k, 1, -1), A.imag.reshape(k, 1, -1)
     sq = re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)
     return np.sqrt(sq[:, 0, 0])
-
-
-def _unit_scaled(A: np.ndarray) -> np.ndarray:
-    """A times the power of two that brings its largest real or imaginary
-    part into [0.5, 1).  The rescaling is exact, and afterwards products
-    and Frobenius norms of n x n matrices cannot overflow.  A zero or
-    non-finite A is returned as is.  A (k, n, n) stack is scaled matrix
-    by matrix."""
-    re = np.abs(A.real).max(axis=(-2, -1), initial=0.0)
-    im = np.abs(A.imag).max(axis=(-2, -1), initial=0.0)
-    # the larger of the two, or the real part's peak when they are
-    # unordered (a NaN)
-    peak = np.where(im > re, im, re)
-    ok = (0 < peak) & (peak < np.inf)
-    # clamped so the factor itself stays finite for a subnormal peak
-    factor = np.ldexp(1.0, -np.maximum(np.frexp(peak)[1], -1021))
-    if ok.all():
-        return A * factor[..., None, None]
-    out = A.copy()
-    out[ok] = A[ok] * factor[ok][:, None, None]
-    return out
 
 
 # operators verified per stacked residual, bounding the (block, n, n)
@@ -380,8 +360,9 @@ def discover(H, relation: str, basis=None, labels=None,
     Raises
     ------
     ValueError
-        On bad input, or when the dense kernel would be needed above its
-        size limit.
+        On bad input, when the dense kernel would be needed above its
+        size limit, or when the solutions would hold more than
+        ``MAX_DENSE**3`` entries in all.
     RuntimeError
         When a solution of the dense kernel fails its verification.
     """
@@ -445,6 +426,12 @@ def _eigen_dyads(H, kind: str, tol: float) -> list[SymOp] | None:
     i, j = np.nonzero(gap <= tol * _fro(H))
     if not i.size:
         return []
+    # one n x n dyad per pair: up to n^4 entries, 68.7 GB at n = 256
+    if i.size * H.size > MAX_DENSE**3:
+        raise ValueError(
+            f"the solution space has {i.size} operators of {H.shape[0]}x"
+            f"{H.shape[0]}, {i.size * H.size} entries, above the limit of "
+            f"{MAX_DENSE**3}")
     # rows u_j with R(H) (transposed) = U^-1 diag(R(lam)) U
     U = V.T if rel.transpose else np.linalg.inv(V)
     if rel.conj:

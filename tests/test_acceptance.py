@@ -221,10 +221,12 @@ def test_criterion_06_detuned_mirror_chain():
         for delta in (0.3, abs(model.CHAIN_COUPLING)):
             Hd = model.to_matrix(model.mirror_chain(delta))
             sysd = linalg.eig(Hd)
+            # the left eigenvectors of Hd are the right ones of Hd.T
+            left = linalg.eig(Hd.T)
             scale = np.max(np.abs(sysd.values))
-            for mu in range(len(sysd.values)):
-                phi = eta.matrix @ sysd.left_vectors[:, mu]
-                partners = np.abs(sysd.values + sysd.values[mu]) <= 1e-8 * scale
+            for mu in range(len(left.values)):
+                phi = eta.matrix @ left.right_vectors[:, mu]
+                partners = np.abs(sysd.values + left.values[mu]) <= 1e-8 * scale
                 assert partners.any()
                 span = sysd.right_vectors[:, partners]
                 resid = phi - span @ np.linalg.lstsq(span, phi, rcond=None)[0]

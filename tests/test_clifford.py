@@ -97,11 +97,10 @@ def test_parse_expr_errors_report_position():
 
 
 def test_expr_arithmetic():
-    a = clifford.parse_expr("g1")
-    b = clifford.parse_expr("g5")
-    combo = 2.0 * a - b
+    # sums and differences are written as expression text
+    combo = clifford.parse_expr("(2)*g1 - g5")
     assert_allclose(combo.to_matrix(), 2 * gamma(1) - gamma(5), atol=0)
-    cancel = a - a
+    cancel = clifford.parse_expr("g1 - g1")
     assert cancel.terms == ()
     assert clifford.format_expr(cancel) == "(0+0i)"
 

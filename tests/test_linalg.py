@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,14 +20,28 @@ def test_eig_right_and_left_residuals():
     rng = np.random.default_rng(0)
     H = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     system = linalg.eig(H)
+    # left eigenvectors of H are the right eigenvectors of H.T
+    left = linalg.eig(H.T)
     scale = np.linalg.norm(H)
+    assert_allclose(left.values, system.values, rtol=0, atol=1e-12 * scale)
+    V = system.right_vectors
+    assert_array_equal(system.residuals,
+                       np.linalg.norm(H @ V - V * system.values, axis=0))
     for k in range(6):
         v = system.right_vectors[:, k]
-        w = system.left_vectors[:, k]
+        w = left.right_vectors[:, k]
         assert np.linalg.norm(H @ v - system.values[k] * v) <= 1e-12 * scale
-        assert np.linalg.norm(H.T @ w - system.values[k] * w) <= 1e-12 * scale
+        assert np.linalg.norm(w @ H - left.values[k] * w) <= 1e-12 * scale
         assert abs(np.linalg.norm(v) - 1) <= 1e-12
         assert abs(np.linalg.norm(w) - 1) <= 1e-12
+
+
+def test_eig_returns_only_values_right_vectors_and_residuals():
+    names = [f.name for f in dataclasses.fields(linalg.EigenSystem)]
+    assert names == ["values", "right_vectors", "residuals"]
+    # the residual bound is TOL_EIG; there is no per-call tolerance
+    with pytest.raises(TypeError):
+        linalg.eig(np.eye(2), tol=1e-10)
 
 
 def test_eig_deterministic():
@@ -35,7 +51,7 @@ def test_eig_deterministic():
     b = linalg.eig(H)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.right_vectors, b.right_vectors)
-    assert np.array_equal(a.left_vectors, b.left_vectors)
+    assert np.array_equal(a.residuals, b.residuals)
 
 
 def test_eig_phase_fix_makes_largest_entry_real():
@@ -84,6 +100,9 @@ def test_multiplicities_jordan_block():
     J[0, 1] = J[1, 2] = 1.0
     alg, geo = linalg.multiplicities(J, 0.0)
     assert (alg, geo) == (3, 1)
+    # the default radius is relative to ||J||_F, which np.linalg.norm
+    # overflowed to inf here, refusing the radius as non-finite
+    assert linalg.multiplicities(J * 2.0**530, 0.0) == (3, 1)
 
 
 def test_multiplicities_semisimple():
@@ -128,7 +147,19 @@ def test_eig_backward_error_bound(H):
 def test_eig_of_empty_matrix():
     system = linalg.eig(np.zeros((0, 0)))
     assert system.values.shape == (0,)
-    assert system.right_vectors.shape == system.left_vectors.shape == (0, 0)
+    assert system.right_vectors.shape == (0, 0)
+    assert system.residuals.shape == (0,)
+
+
+@pytest.mark.parametrize("power", [-600, 0, 530])
+def test_fro_norm_survives_overflowing_squares(power):
+    # np.linalg.norm squares the entries: inf above about 1e154, and 0
+    # below about 1e-162, where the power-of-two rescaled norm is exact
+    rng = np.random.default_rng(3)
+    H = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    scale = 2.0 ** power
+    assert linalg._fro_norm(H * scale) == np.linalg.norm(H) * scale
+    assert linalg._fro_norm(np.zeros((3, 3), dtype=complex)) == 0.0
 
 
 # exact zeros, or entries large enough that column norms do not underflow
@@ -163,7 +194,6 @@ def _tolerance_calls():
     SA = np.array([[1.0, 1.0], [-1.0, -1.0]])
     eta = np.array([[0.0, 1.0], [-1.0, 0.0]])
     return {
-        "eig": lambda **kw: linalg.eig(F, **kw),
         "zero_modes": lambda **kw: spectra.zero_modes(F, **kw),
         "mode_profile": lambda **kw: spectra.mode_profile(F, 0j, flake, **kw),
         "pseudo_from_sa": lambda **kw: symmetry.pseudo_from_sa(SA, **kw),
@@ -178,8 +208,7 @@ def _tolerance_calls():
 @pytest.mark.parametrize("name", sorted(_tolerance_calls()))
 def test_library_tolerances_must_be_finite_and_positive(name, tol):
     # before, a NaN tolerance made zero_modes find nothing, pseudo_from_sa
-    # report no split, hidden_nhph fail "verification", and eig skip its
-    # residual bound
+    # report no split and hidden_nhph fail "verification"
     call = _tolerance_calls()[name]
     call()
     with pytest.raises(ValueError, match="tol must be finite and positive"):

@@ -59,6 +59,20 @@ def test_flake_zero_mode_reported_at_all_couplings():
         assert len(zeros) == 1
 
 
+def test_zero_modes_and_mode_profile_survive_huge_matrices():
+    # ||H||_F is now taken on the power-of-two rescaled H; np.linalg.norm
+    # was inf here, so every mode counted as "zero" and any target matched
+    m = model.mirror_chain(0.3)
+    H = model.to_matrix(m)
+    big = H * 2.0**530
+    kinds = [z.kind for z in spectra.zero_modes(H)]
+    assert kinds.count("zero") == 1
+    assert [z.kind for z in spectra.zero_modes(big)] == kinds
+    with pytest.raises(ValueError, match="closest"):
+        spectra.mode_profile(big, 1e164, m)
+    assert abs(spectra.mode_profile(big, 0.0, m).value) <= 1e-12 * 2.0**530
+
+
 # --- exceptional points ---------------------------------------------------
 
 def test_ep_jordan2():

@@ -498,6 +498,13 @@ def test_discover_defective_above_dense_limit_refused():
     assert len(symmetry.discover(np.diag(np.arange(-16.0, 17.0)), "chiral")) == 33
 
 
+def test_discover_refuses_an_oversized_solution_basis():
+    # H = 0 matches every eigenvalue pair: 65^2 dyads of 65 x 65, more
+    # than MAX_DENSE**3 entries, refused before any dyad is formed
+    with pytest.raises(ValueError, match="above the limit of 16777216"):
+        symmetry.discover(np.zeros((65, 65)), "chiral")
+
+
 @pytest.mark.parametrize("tau", [1.2, 1.3, 1.4, 1.41, 1.414, 1.4142135,
                                  np.sqrt(2), 1.415, 1.45, 1.5, 1.6])
 def test_discover_flake_near_exceptional_point(tau):
