@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("sweep", help="run a figure protocol")
     ps.add_argument("--fig", choices=FIG_TAGS, required=True)
-    ps.add_argument("--steps", type=int, default=400)
+    ps.add_argument("--steps", type=int, default=spectra.SWEEP_STEPS)
     ps.add_argument("--out", default=".", help="output directory")
     ps.add_argument("--tol", type=_tolerance, default=spectra.CLASSIFY_TOL,
                     help="spectrum classification tolerance")
@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar=("LO", "HI"))
     pe.add_argument("--target", type=_complex, default=0j,
                     help="coalescence point in the eigenvalue plane")
-    pe.add_argument("--tol", type=_tolerance, default=1e-3,
+    pe.add_argument("--tol", type=_tolerance, default=spectra.EP_FOUND_TOL,
                     help="spread below which the point counts as found")
     return parser
 
@@ -154,7 +154,7 @@ def cmd_check(args) -> int:
     H = model_mod.to_matrix(m)
 
     if args.discover is not None:
-        tol = 1e-9 if args.tol is None else args.tol
+        tol = symmetry.DISCOVER_TOL if args.tol is None else args.tol
         if m.n_sites == 4:
             basis = clifford.basis16()
             labels = clifford.basis16_labels()

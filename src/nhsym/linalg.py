@@ -197,11 +197,12 @@ def multiplicities(H, center: complex, tol: float | None = None) -> tuple[int, i
     H : array_like
         Square complex matrix.
     center : complex
-        Point in the complex plane around which to count.
+        Finite point in the complex plane around which to count.
     tol : float, optional
         Absolute cluster radius, finite and positive.  Defaults to
-        ``1e-7 * ||H||_F``.  The same value thresholds the singular values
-        of ``H - center * I`` for the geometric count.
+        ``TOL_CLUSTER * ||H||_F``, at least ``TOL_CLUSTER``.  The same
+        value thresholds the singular values of ``H - center * I`` for the
+        geometric count.
 
     Returns
     -------
@@ -217,6 +218,8 @@ def multiplicities(H, center: complex, tol: float | None = None) -> tuple[int, i
         so the cluster boundary is not cleanly separated.
     """
     H = _as_square(H)
+    if not np.isfinite(center):
+        raise ValueError(f"center must be finite, got {center!r}")
     scale = _fro_norm(H)
     if tol is None:
         tol = TOL_CLUSTER * max(scale, 1.0)

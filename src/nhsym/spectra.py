@@ -17,12 +17,19 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import model as model_mod
-from .linalg import _fro_norm, _require_tol, eig, multiplicities
+from .linalg import (TOL_CLUSTER, _fro_norm, _require_tol, eig,
+                     multiplicities)
 from .symmetry import REFLECTIONS
 
-CLASSIFY_TOL = 1e-8
+# thresholds, absolute unless marked relative to ||H||_F
+CLASSIFY_TOL = 1e-8  # reflection defect of a held spectrum symmetry
+ZERO_MODE_TOL = 1e-9  # zero_modes, relative
+PROFILE_TOL = 1e-7  # mode_profile's eigenvalue match, relative
+EP_PARAM_TOL = 1e-8  # ep_locate's final bracket width
+EP_FOUND_TOL = 1e-3  # ep_locate's default found_tol
 ZERO_FLAG_TOL = 1e-8
 DEGENERACY_TOL = 1e-6
+SWEEP_STEPS = 400
 MAX_STEPS = 100_000
 # eigenvalue-pair dip depth (relative to spectral radius) worth refining,
 # the shrink factor a refined dip must beat, and the eigenvector overlap
@@ -48,31 +55,31 @@ class SpectrumSymmetry:
     """Reflection defects of an eigenvalue multiset.
 
     Each field is the :func:`reflection_defect` of one ``REFLECTIONS``
-    axis, in table order; a defect at most ``tol`` means the symmetry
-    holds.
+    axis, in table order; a defect at most ``CLASSIFY_TOL`` means the
+    symmetry holds.
     """
 
     origin: float
     real_axis: float
     imag_axis: float
-    tol: float
 
     def held(self) -> tuple[str, ...]:
         defects = (self.origin, self.real_axis, self.imag_axis)
         return tuple(axis for axis, defect in zip(REFLECTIONS, defects)
-                     if defect <= self.tol)
+                     if defect <= CLASSIFY_TOL)
 
 
-def classify_spectrum(values, tol: float = CLASSIFY_TOL) -> SpectrumSymmetry:
+def classify_spectrum(values) -> SpectrumSymmetry:
     """Measure how close a multiset of eigenvalues is to each reflection
-    symmetry, using an optimal pairing between the set and its image.
-    ``tol`` must be finite and positive."""
-    _require_tol(tol)
+    symmetry, using an optimal pairing between the set and its image;
+    :meth:`SpectrumSymmetry.held` judges the defects by ``CLASSIFY_TOL``."""
     values = np.asarray(values, dtype=complex).ravel()
     if values.size == 0:
         raise ValueError("empty spectrum")
+    if not np.isfinite(values).all():
+        raise ValueError("values have non-finite entries")
     return SpectrumSymmetry(
-        *(reflection_defect(values, axis) for axis in REFLECTIONS), tol=tol)
+        *(reflection_defect(values, axis) for axis in REFLECTIONS))
 
 
 @dataclass(frozen=True)
@@ -89,19 +96,18 @@ class ZeroMode:
     kind: str
 
 
-def zero_modes(H, tol: float = 1e-9) -> list[ZeroMode]:
-    """Eigenpairs at zero or on the imaginary axis, tolerance (finite and
-    positive) relative to ||H||."""
-    _require_tol(tol)
+def zero_modes(H) -> list[ZeroMode]:
+    """Eigenpairs at zero or on the imaginary axis, within
+    ``ZERO_MODE_TOL * ||H||_F``."""
     H = np.asarray(H, dtype=complex)
     system = eig(H)
-    scale = max(_fro_norm(H), 1e-300)
+    tol = ZERO_MODE_TOL * max(_fro_norm(H), 1e-300)
     out = []
     for idx, value in enumerate(system.values):
         value = complex(value)
-        if abs(value) <= tol * scale:
+        if abs(value) <= tol:
             kind = "zero"
-        elif abs(value.real) <= tol * scale:
+        elif abs(value.real) <= tol:
             kind = "imaginary"
         else:
             continue
@@ -136,24 +142,20 @@ def jordan2(delta: float) -> np.ndarray:
 
 
 def ep_locate(family: Callable[[float], np.ndarray], bracket,
-              target: complex = 0j, param_tol: float = 1e-8,
-              found_tol: float = 1e-3, cluster_tol: float | None = None,
+              target: complex = 0j, found_tol: float = EP_FOUND_TOL,
               ) -> EPReport:
     """Locate a parameter where eigenvalues coalesce at ``target``.
 
     A 41-point scan over the bracket seeds a golden-section minimization of
     the second-smallest distance |eps - target| (second-smallest so that a
     symmetry-protected mode already sitting at the target does not mask the
-    coalescence).  The parameter is refined to within ``param_tol`` (or to
-    adjacent floats); the point counts as found when the minimized distance
-    is at most ``found_tol``.  Multiplicities are then measured with a
-    cluster radius of ``cluster_tol`` (default: five times the residual
-    spread, floored at 1e-7 ||H||).  Every tolerance must be finite and > 0.
+    coalescence).  The parameter is refined to within ``EP_PARAM_TOL`` (or
+    to adjacent floats); the point counts as found when the minimized
+    distance is at most ``found_tol``, finite and positive.  Multiplicities
+    are then measured with a cluster radius of five times the residual
+    spread, floored at ``TOL_CLUSTER * ||H||_F``.
     """
-    _require_tol(param_tol, "param_tol")
     _require_tol(found_tol, "found_tol")
-    if cluster_tol is not None:
-        _require_tol(cluster_tol, "cluster_tol")
     if not np.isfinite(target):
         raise ValueError(f"target must be finite, got {target!r}")
     a, b = float(bracket[0]), float(bracket[1])
@@ -179,7 +181,7 @@ def ep_locate(family: Callable[[float], np.ndarray], bracket,
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
     f1, f2 = spread(x1)[0], spread(x2)[0]
-    while hi - lo > param_tol:
+    while hi - lo > EP_PARAM_TOL:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - invphi * (hi - lo)
@@ -197,9 +199,7 @@ def ep_locate(family: Callable[[float], np.ndarray], bracket,
     if s_hat > found_tol:
         return EPReport(False, p_hat, None, 0, 0, 0, s_hat)
 
-    radius = cluster_tol
-    if radius is None:
-        radius = max(5.0 * s_hat, 1e-7 * _fro_norm(H))
+    radius = max(5.0 * s_hat, TOL_CLUSTER * _fro_norm(H))
     cluster = vals[np.abs(vals - target) <= radius]
     value = complex(cluster.mean()) if cluster.size else complex(target)
     alg, geo = multiplicities(H, value, tol=radius)
@@ -250,7 +250,8 @@ def _origin_distance(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
 
 
 def sweep(family: Callable[[float], np.ndarray], lo: float, hi: float,
-          n_steps: int = 400, param_name: str = "param") -> SweepResult:
+          n_steps: int = SWEEP_STEPS,
+          param_name: str = "param") -> SweepResult:
     """Track eigenvalues of ``family(p)`` across ``n_steps`` parameters
     (2 to ``MAX_STEPS``).
 
@@ -360,6 +361,8 @@ def intensity_ratio(psi, m) -> float:
     Returns inf when the mode has no weight on the A sublattice.
     """
     psi = np.asarray(psi, dtype=complex).ravel()
+    if not np.isfinite(psi).all():
+        raise ValueError("psi has non-finite entries")
     labels = np.array(m.sublattice)
     if psi.size != labels.size:
         raise ValueError(f"vector length {psi.size} != {m.n_sites} sites")
@@ -390,20 +393,21 @@ class ProfileResult:
     degenerate: bool
 
 
-def mode_profile(H, value: complex, m, tol: float = 1e-7) -> ProfileResult:
-    """Profile the eigenmode closest to ``value`` (tolerance, finite and
-    positive, relative to ||H||) over the model's sites."""
-    _require_tol(tol)
+def mode_profile(H, value: complex, m) -> ProfileResult:
+    """Profile the eigenmode closest to ``value``, which must lie within
+    ``PROFILE_TOL * ||H||_F`` of an eigenvalue, over the model's sites."""
+    if not np.isfinite(value):
+        raise ValueError(f"value must be finite, got {value!r}")
     H = np.asarray(H, dtype=complex)
     if H.shape[0] != m.n_sites:
         raise ValueError(f"matrix size {H.shape[0]} != {m.n_sites} sites")
     system = eig(H)
     scale = max(_fro_norm(H), 1e-300)
     dist = np.abs(system.values - value)
-    inside = dist <= tol * scale
+    inside = dist <= PROFILE_TOL * scale
     if not inside.any():
         raise ValueError(
-            f"no eigenvalue within {tol:g}*||H|| of {value}; "
+            f"no eigenvalue within {PROFILE_TOL:g}*||H|| of {value}; "
             f"closest is {system.values[int(np.argmin(dist))]}"
         )
     idx = int(np.argmin(dist))

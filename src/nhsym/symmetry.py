@@ -52,8 +52,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _records, clifford, model as model_mod
-from .linalg import (MAX_DENSE, _as_square, _require_tol, _unit_scaled,
-                     nullspace)
+from .linalg import (MAX_DENSE, _as_square, _fro_norm, _require_tol,
+                     _unit_factors, _unit_scaled, nullspace)
 
 LINEAR_ANTICOMMUTE = "linear_anticommute"
 ANTILINEAR_ANTICOMMUTE = "antilinear_anticommute"
@@ -113,6 +113,8 @@ DISCOVER_RELATIONS = tuple(sorted(_DISCOVER_KINDS))
 
 COND_MAX = 1e8
 PASS_TOL = 1e-10
+# discover's default pairing gap and residual bound, relative to ||H||_F
+DISCOVER_TOL = 1e-9
 
 # eigenvector condition number above which discovery leaves the spectral
 # path for the dense kernel: below it, computed eigenvalues err by at most
@@ -199,8 +201,8 @@ def check(H, op: SymOp) -> float:
     left side of the relation in the module docstring for ``op.kind``.
     H and the operator are first rescaled by powers of two to unit-sized
     entries; the ratio is unchanged, but no product or norm overflows.  A
-    residual at most 1e-10 counts as satisfied; the number is returned,
-    not thresholded.
+    residual at most ``PASS_TOL`` counts as satisfied; the number is
+    returned, not thresholded.
 
     Raises
     ------
@@ -268,24 +270,26 @@ class SAResult:
     anticommutator_norm: float
 
 
-def pseudo_from_sa(H, tol: float = PASS_TOL) -> SAResult:
+def pseudo_from_sa(H) -> SAResult:
     """Build symmetry operators from the symmetric/antisymmetric split.
 
-    If S and A anticommute (within ``tol * ||A|| * ||S||``), the
+    If S and A anticommute (within ``PASS_TOL * ||A|| * ||S||``), the
     antisymmetric part itself satisfies the transpose-minus relation and
     S @ A anticommutes with H; both are verified before being returned.
     A singular antisymmetric part is returned with a warning and
     ``allow_singular`` set, its relation still checked in inverse-free form.
-    ``tol`` must be finite and positive.
     """
-    _require_tol(tol)
     H = np.asarray(H, dtype=complex)
     S, A = sa_split(H)
-    norm_a, norm_s = _fro(A), _fro(S)
-    if norm_a == 0:
+    if not A.any():
         return SAResult(None, None, 0.0)
-    anti = _fro(A @ S + S @ A)
-    if not anti <= tol * max(norm_a * norm_s, 1e-300):
+    # the parts of the power-of-two rescaled H, so that no product
+    # overflows; the exact rescaling is undone for the reported norm
+    f = float(_unit_factors(H)[0])
+    As, Ss = A * f, S * f
+    anti_unit = _fro_norm(As @ Ss + Ss @ As)
+    anti = anti_unit / f / f
+    if not anti_unit <= PASS_TOL * max(_fro_norm(As) * _fro_norm(Ss), 1e-300):
         return SAResult(None, None, anti)
     singular = not np.linalg.cond(A) <= COND_MAX
     if singular:
@@ -298,18 +302,19 @@ def pseudo_from_sa(H, tol: float = PASS_TOL) -> SAResult:
     eta = SymOp(A, TRANSPOSE_MINUS, label="antisymmetric part",
                 allow_singular=singular)
     chiral = None
-    if norm_s != 0:
+    if S.any():
         chiral = SymOp(S @ A, LINEAR_ANTICOMMUTE, label="S @ A product")
     for op in filter(None, (eta, chiral)):
         r = check(H, op)
-        bound = max(10 * anti / max(_fro(H) * _fro(op.matrix), 1e-300), tol)
+        bound = max(10 * anti / max(_fro_norm(H) * _fro_norm(op.matrix),
+                                    1e-300), PASS_TOL)
         if not r <= bound:
             raise RuntimeError(f"split operator failed verification ({r:.3g})")
     return SAResult(eta, chiral, anti)
 
 
 def discover(H, relation: str, basis=None, labels=None,
-             tol: float = 1e-9) -> list[SymOp]:
+             tol: float = DISCOVER_TOL) -> list[SymOp]:
     """Find a basis of every operator satisfying a relation with H.
 
     Without a basis the search is spectral: H is diagonalized, every
@@ -348,7 +353,8 @@ def discover(H, relation: str, basis=None, labels=None,
         When given, each solution's label is its expansion as a generator
         expression.
     tol : float
-        Finite and positive: the pairing gap and residual bound above.
+        Finite and positive: the pairing gap and residual bound above,
+        ``DISCOVER_TOL`` by default.
 
     Returns
     -------
@@ -537,8 +543,7 @@ def named_operator(m, hint: str) -> SymOp:
     return SymOp(M, kind, label=hint)
 
 
-def hidden_nhph(beta: complex, g1: complex, g2: complex,
-                tol: float = PASS_TOL) -> SymOp:
+def hidden_nhph(beta: complex, g1: complex, g2: complex) -> SymOp:
     """Antilinear anticommuting operator of the wheel model, real beta only.
 
     The conjugation part is the two-site rotation times
@@ -547,10 +552,8 @@ def hidden_nhph(beta: complex, g1: complex, g2: complex,
     construction is verified against the wheel matrix before returning,
     and the product of the rotation-conjugation with this operator is
     confirmed to be a scalar multiple of the wheel's anticommuting
-    operator ``Re(g2)*g1 + i*Im(g1)*g3``.  ``tol`` must be finite and
-    positive.
+    operator ``Re(g2)*g1 + i*Im(g1)*g3``; both checks pass at ``PASS_TOL``.
     """
-    _require_tol(tol)
     beta, g1, g2 = complex(beta), complex(g1), complex(g2)
     if beta.imag != 0:
         raise ValueError(
@@ -565,12 +568,14 @@ def hidden_nhph(beta: complex, g1: complex, g2: complex,
     op = SymOp(C, ANTILINEAR_ANTICOMMUTE, label="rotation-paired conjugation")
     H = model_mod.to_matrix(model_mod.rt_wheel(beta, g1, g2))
     r = check(H, op)
-    if not r <= tol:
+    if not r <= PASS_TOL:
         raise RuntimeError(f"construction failed verification ({r:.3g})")
-    pi = product_chiral(rot2, C).matrix
-    pi_expected = g2.real * clifford.gamma(1) + 1j * g1.imag * clifford.gamma(3)
+    # both rescaled by powers of two, so that no inner product overflows
+    pi = _unit_scaled(product_chiral(rot2, C).matrix)
+    pi_expected = _unit_scaled(
+        g2.real * clifford.gamma(1) + 1j * g1.imag * clifford.gamma(3))
     scale = np.vdot(pi_expected, pi) / np.vdot(pi_expected, pi_expected)
-    if not _fro(pi - scale * pi_expected) <= tol * _fro(pi):
+    if not _fro_norm(pi - scale * pi_expected) <= PASS_TOL * _fro_norm(pi):
         raise RuntimeError("rotation product does not match the linear operator")
     return op
 
@@ -597,7 +602,7 @@ class PseudoReport:
     hermitian_match: float | None
 
 
-def pseudo_properties(H, eta, commuting=(), tol: float = PASS_TOL) -> PseudoReport:
+def pseudo_properties(H, eta, commuting=()) -> PseudoReport:
     """Check operators derived from a transpose-minus symmetry.
 
     Verifies that the transpose of ``eta`` satisfies the same relation and
@@ -605,42 +610,43 @@ def pseudo_properties(H, eta, commuting=(), tol: float = PASS_TOL) -> PseudoRepo
     When H is Hermitian, additionally reports the difference between eta's
     transpose-relation residual and the antilinear-anticommute residual of
     the same matrix (for Hermitian H the two relations coincide exactly).
+    Each of these verdicts is taken at ``PASS_TOL``.
 
     Parameters
     ----------
     H : array_like
     eta : SymOp or array_like
-        Must already satisfy the transpose-minus relation within tol.
+        Must already satisfy the transpose-minus relation.
     commuting : sequence of array_like
         Candidate matrices w; each is tested for ``[w, H] = 0`` first.
-    tol : float
-        Finite and positive.
     """
-    _require_tol(tol)
     H = np.asarray(H, dtype=complex)
     if not isinstance(eta, SymOp):
         eta = SymOp(np.asarray(eta, dtype=complex), TRANSPOSE_MINUS,
                     allow_singular=True)
     base = check(H, eta)
-    if not base <= tol:
-        raise ValueError(f"eta does not satisfy its relation ({base:.3g} > {tol:g})")
+    if not base <= PASS_TOL:
+        raise ValueError(f"eta does not satisfy its relation "
+                         f"({base:.3g} > {PASS_TOL:g})")
     transposed = SymOp(eta.matrix.T, TRANSPOSE_MINUS, label="transpose",
                        allow_singular=True)
     r_transpose = check(H, transposed)
+    # the commutator and H - H^dagger of power-of-two rescaled factors, so
+    # that no product or norm overflows; both verdicts are scale-free
+    Hu = _unit_scaled(H)
     products = []
     for w in commuting:
         w = np.asarray(w, dtype=complex)
-        comm = np.linalg.norm(w @ H - H @ w)
-        denom = max(_fro(w) * _fro(H), 1e-300)
-        comm_rel = comm / denom
-        if comm_rel <= tol:
+        wu = _unit_scaled(w)
+        comm_rel = (_fro_norm(wu @ Hu - Hu @ wu)
+                    / max(_fro_norm(wu) * _fro_norm(Hu), 1e-300))
+        if comm_rel <= PASS_TOL:
             prod = SymOp(w @ eta.matrix, TRANSPOSE_MINUS, allow_singular=True)
             products.append((comm_rel, check(H, prod)))
         else:
             products.append((comm_rel, None))
     hermitian_match = None
-    herm = np.linalg.norm(H - H.conj().T)
-    if herm <= tol * max(_fro(H), 1e-300):
+    if _fro_norm(Hu - Hu.conj().T) <= PASS_TOL * max(_fro_norm(Hu), 1e-300):
         as_conj = SymOp(eta.matrix, ANTILINEAR_ANTICOMMUTE)
         hermitian_match = abs(check(H, as_conj) - base)
     return PseudoReport(base, r_transpose, tuple(products), hermitian_match)

@@ -40,7 +40,7 @@ def _basis16():
 def test_criterion_01_gamma_algebra():
     with _gate(1, "generator algebra identities, exact and sampled"):
         assert clifford.verify_clifford() == []
-        assert clifford.verify_product_identities(draws=100, seed=0) == []
+        assert clifford.verify_product_identities() == []
 
 
 def test_criterion_02_dirac_chiral_operators():

@@ -1,5 +1,6 @@
 """End-to-end runs of the console entry point (in process)."""
 
+import inspect
 import os
 import re
 import subprocess
@@ -9,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nhsym import cli, linalg, model, spectra, symmetry
+from nhsym import cli, clifford, linalg, model, spectra, symmetry
 
 
 def run(capsys, *argv):
@@ -202,6 +203,41 @@ def test_bad_tolerance_exits_two(capsys, tol):
             assert "bad number 'x'" in err
         else:
             assert "finite positive" in err
+
+
+def test_cli_defaults_are_the_library_constants(monkeypatch, capsys):
+    parser = cli.build_parser()
+    sweep = parser.parse_args(["sweep", "--fig", "2b"])
+    assert sweep.steps == spectra.SWEEP_STEPS
+    assert sweep.tol == spectra.CLASSIFY_TOL
+    ep = parser.parse_args(["ep", "--family", "jordan2",
+                            "--bracket", "0.5", "1"])
+    assert ep.tol == spectra.EP_FOUND_TOL
+    calls = []
+
+    def recording_discover(H, relation, **kwargs):
+        calls.append(kwargs["tol"])
+        return []
+
+    monkeypatch.setattr(symmetry, "discover", recording_discover)
+    assert cli.main(["check", "--preset", "chain", "--discover", "chiral"]) == 1
+    capsys.readouterr()
+    assert calls == [symmetry.DISCOVER_TOL]
+
+
+def test_thresholds_are_not_parameters():
+    # each is a module constant that the docstring names
+    for func, gone in ((spectra.zero_modes, "tol"),
+                       (spectra.mode_profile, "tol"),
+                       (spectra.classify_spectrum, "tol"),
+                       (spectra.ep_locate, "param_tol"),
+                       (spectra.ep_locate, "cluster_tol"),
+                       (symmetry.pseudo_from_sa, "tol"),
+                       (symmetry.pseudo_properties, "tol"),
+                       (symmetry.hidden_nhph, "tol"),
+                       (clifford.verify_product_identities, "draws"),
+                       (clifford.verify_product_identities, "seed")):
+        assert gone not in inspect.signature(func).parameters
 
 
 def _failed_eig(*args, **kwargs):

@@ -145,7 +145,7 @@ def test_expand_in_basis16_roundtrip():
 
 def test_verifiers_find_no_violations():
     assert clifford.verify_clifford() == []
-    assert clifford.verify_product_identities(draws=100, seed=0) == []
+    assert clifford.verify_product_identities() == []
 
 
 _coeff = st.complex_numbers(min_magnitude=0, max_magnitude=2,

@@ -240,6 +240,15 @@ def test_pseudo_from_sa_singular_antisymmetric_part():
     assert check(H, res.eta) <= 1e-12
 
 
+def test_pseudo_from_sa_survives_huge_matrices():
+    # ||A|| overflowed to inf and ||A|| * ||S|| = inf * 0 to NaN, so the
+    # split was refused where the unscaled matrix gives eta = A
+    res = symmetry.pseudo_from_sa(2.0**530 * SY)
+    assert res.eta is not None and res.chiral is None
+    assert_array_equal(res.eta.matrix, 2.0**530 * SY)
+    assert res.anticommutator_norm == 0.0
+
+
 # --- discovery ------------------------------------------------------------
 
 def test_discover_dimension_matches_eigenvalue_pairing():
@@ -626,6 +635,25 @@ def test_pseudo_properties_hermitian_coincidence():
     assert rep.hermitian_match is not None
     assert rep.hermitian_match <= 1e-15
     assert rep.base <= 1e-15
+
+
+def test_pseudo_properties_huge_non_hermitian_matrix():
+    # ||H - H^dagger|| and ||H|| both overflowed to inf, and inf <= inf
+    # reported this non-Hermitian H as Hermitian
+    H = np.array([[1.0, 1.0], [-1.0, -1.0]])
+    eta = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    for scale in (1.0, 2.0**530):
+        rep = symmetry.pseudo_properties(scale * H, eta, commuting=(H,))
+        assert rep.hermitian_match is None
+        assert rep.products == ((0.0, 0.0),)
+
+
+def test_hidden_nhph_survives_huge_couplings():
+    # the inner products of the rotation-product check overflowed
+    op = symmetry.hidden_nhph(0.75, 1.0 + 0.6j, 1.5 + 0.4j)
+    big = symmetry.hidden_nhph(0.75, 2.0**530 * (1.0 + 0.6j),
+                               2.0**530 * (1.5 + 0.4j))
+    assert_array_equal(big.matrix, 2.0**530 * op.matrix)
 
 
 def test_pseudo_properties_rejects_bad_eta():
