@@ -198,7 +198,7 @@ def cmd_check(args) -> int:
 def cmd_sweep(args) -> int:
     proto = spectra.protocol(args.fig)
     result = spectra.sweep(proto.matrix_at, proto.lo, proto.hi,
-                           n_steps=args.steps, param_name=proto.param_name)
+                           n_steps=args.steps)
     worst = {axis: max(spectra.reflection_defect(step.eigenvalues, axis)
                        for step in result.steps)
              for axis in proto.symmetric}

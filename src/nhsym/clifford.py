@@ -67,9 +67,10 @@ def gamma(label) -> np.ndarray:
 
     Parameters
     ----------
-    label : int, sequence of int, or str
-        A generator index, an index sequence (multiplied left to right), or
-        a string such as ``"g0*g1"`` or ``"1"``.
+    label : int or sequence of int
+        A generator index, or an index sequence multiplied left to right
+        (``()`` is the identity).  Text such as ``"g0*g1"`` is an
+        expression: read it with :func:`parse_expr`.
 
     Returns
     -------
@@ -78,7 +79,7 @@ def gamma(label) -> np.ndarray:
         entries.
     """
     if isinstance(label, str):
-        return gamma(_parse_factors(label))
+        raise ValueError(f"not a generator index sequence: {label!r}")
     if isinstance(label, (int, np.integer)):
         label = (int(label),)
     out = np.eye(4, dtype=complex)

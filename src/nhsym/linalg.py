@@ -19,9 +19,9 @@ MAX_DENSE = 256
 # eigenpair backward-error bound, relative to ||H||_F
 TOL_EIG = 1e-10
 
-# default eigenvalue-cluster tolerance for multiplicity counting, relative
-# to ||H||_F; looser than TOL_EIG because coalescing eigenvalues split as
-# O(delta**(1/order)) around a defective point
+# floor of ep_locate's eigenvalue-cluster radius for multiplicity counting,
+# relative to ||H||_F; looser than TOL_EIG because coalescing eigenvalues
+# split as O(delta**(1/order)) around a defective point
 TOL_CLUSTER = 1e-7
 
 
@@ -74,11 +74,10 @@ def _unit_factors(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per matrix of A (one matrix, or a (k, n, n) stack): the power of two
     that brings its largest real or imaginary part into [0.5, 1), and
     whether the matrix is nonzero and finite, so that the power applies."""
-    re = np.abs(A.real).max(axis=(-2, -1), initial=0.0)
-    im = np.abs(A.imag).max(axis=(-2, -1), initial=0.0)
-    # the larger of the two, or the real part's peak when they are
-    # unordered (a NaN)
-    peak = np.where(im > re, im, re)
+    # one pass over the real and imaginary parts side by side; a NaN in
+    # either makes the peak NaN
+    parts = np.ascontiguousarray(A, dtype=complex).view(np.float64)
+    peak = np.abs(parts).max(axis=(-2, -1), initial=0.0)
     # clamped so the factor itself stays finite for a subnormal peak
     factor = np.ldexp(1.0, -np.maximum(np.frexp(peak)[1], -1021))
     return factor, (0 < peak) & (peak < np.inf)
@@ -157,7 +156,7 @@ def eig(H) -> EigenSystem:
     return EigenSystem(w, right, residuals)
 
 
-def nullspace(M, tol: float = 1e-8) -> np.ndarray:
+def nullspace(M, tol: float) -> np.ndarray:
     """Orthonormal basis of the (approximate) nullspace of M.
 
     Parameters
@@ -189,7 +188,7 @@ def nullspace(M, tol: float = 1e-8) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def multiplicities(H, center: complex, tol: float | None = None) -> tuple[int, int]:
+def multiplicities(H, center: complex, tol: float) -> tuple[int, int]:
     """Algebraic and geometric multiplicity of an eigenvalue cluster.
 
     Parameters
@@ -198,10 +197,9 @@ def multiplicities(H, center: complex, tol: float | None = None) -> tuple[int, i
         Square complex matrix.
     center : complex
         Finite point in the complex plane around which to count.
-    tol : float, optional
-        Absolute cluster radius, finite and positive.  Defaults to
-        ``TOL_CLUSTER * ||H||_F``, at least ``TOL_CLUSTER``.  The same
-        value thresholds the singular values of ``H - center * I`` for the
+    tol : float
+        Absolute cluster radius, finite and positive.  The same value
+        thresholds the singular values of ``H - center * I`` for the
         geometric count.
 
     Returns
@@ -220,9 +218,6 @@ def multiplicities(H, center: complex, tol: float | None = None) -> tuple[int, i
     H = _as_square(H)
     if not np.isfinite(center):
         raise ValueError(f"center must be finite, got {center!r}")
-    scale = _fro_norm(H)
-    if tol is None:
-        tol = TOL_CLUSTER * max(scale, 1.0)
     _require_tol(tol)
     w = np.linalg.eigvals(H)
     dist = np.abs(w - center)

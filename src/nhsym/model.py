@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _records, clifford
+from . import _records
 from .clifford import GammaExpr, format_expr, gamma
 from .linalg import _as_square
 
@@ -260,8 +260,9 @@ def pyramid(variant: str, g1: complex, g2: complex, g3: complex,
     Variant "nochiral" is ``g1*g5 + g2*g0*g1 + g3*g0*g1*g5`` (no operator
     anticommutes with it for generic couplings); variant "chiral" is
     ``g1*g5 + g2*g0*g1 + g3*g1*g5``.  ``detunings`` is a list of
-    ``(label, coefficient)`` pairs restricted to the diagonal products
-    g0, g1*g2 and g3*g5.
+    ``(indices, coefficient)`` pairs, ``indices`` a generator index tuple
+    such as ``(3, 5)``, restricted to the diagonal products g0, g1*g2 and
+    g3*g5.
 
     For the chiral variant the attached hints track which operators survive
     each detuning direction, including the detuning-dependent combination
@@ -274,8 +275,7 @@ def pyramid(variant: str, g1: complex, g2: complex, g3: complex,
         H = g1 * gamma(5) + g2 * gamma((0, 1)) + g3 * gamma((1, 5))
     else:
         raise ValueError(f"variant must be 'nochiral' or 'chiral', got {variant!r}")
-    pairs = [(clifford._parse_factors(label) if isinstance(label, str)
-              else label, complex(coeff)) for label, coeff in detunings]
+    pairs = [(factors, complex(coeff)) for factors, coeff in detunings]
     present = dict(GammaExpr.from_terms(pairs).terms)
     if not present.keys() <= _DETUNING_LABELS:
         raise ValueError(

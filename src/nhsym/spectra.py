@@ -234,7 +234,6 @@ class SweepResult:
     (``ep_candidate``).
     """
 
-    param_name: str
     steps: tuple[SweepStep, ...]
     events: tuple[SweepEvent, ...]
 
@@ -250,8 +249,7 @@ def _origin_distance(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
 
 
 def sweep(family: Callable[[float], np.ndarray], lo: float, hi: float,
-          n_steps: int = SWEEP_STEPS,
-          param_name: str = "param") -> SweepResult:
+          n_steps: int = SWEEP_STEPS) -> SweepResult:
     """Track eigenvalues of ``family(p)`` across ``n_steps`` parameters
     (2 to ``MAX_STEPS``).
 
@@ -339,7 +337,7 @@ def sweep(family: Callable[[float], np.ndarray], lo: float, hi: float,
                     ep_steps.add(k)
                     events.append(SweepEvent(k, float(params[k]), "ep_candidate"))
     events.sort(key=lambda e: (e.step, e.kind))
-    return SweepResult(param_name, steps, tuple(events))
+    return SweepResult(steps, tuple(events))
 
 
 def to_csv(result: SweepResult, path) -> None:

@@ -129,9 +129,11 @@ DENSE_KERNEL_MAX_N = 32
 class SymOp:
     """A candidate symmetry operator: matrix, relation kind, readable label.
 
-    Operators of transpose or dagger kind must be invertible (condition
-    number at most 1e8) unless constructed with ``allow_singular=True``, in
-    which case only the inverse-free form of their relation is meaningful.
+    The matrix must not be zero: every relation holds for it, so it would
+    pass any check.  Operators of transpose or dagger kind must be
+    invertible (condition number at most ``COND_MAX``) unless constructed
+    with ``allow_singular=True``, in which case only the inverse-free form
+    of their relation is meaningful.
     """
 
     matrix: np.ndarray
@@ -143,6 +145,8 @@ class SymOp:
         if self.kind not in KINDS:
             raise ValueError(f"unknown relation kind {self.kind!r}")
         M = _as_square(self.matrix, "operator")
+        if not M.any():
+            raise ValueError("operator is zero, so every relation holds for it")
         object.__setattr__(self, "matrix", M)
         # the transpose and dagger relations conjugate by the inverse
         if RELATIONS[self.kind].transpose and not self.allow_singular:
@@ -260,9 +264,10 @@ class SAResult:
     """Outcome of the symmetric/antisymmetric construction.
 
     When the two parts anticommute, ``eta`` is the antisymmetric part
-    (transpose-minus kind) and ``chiral`` is the product S @ A
-    (linear-anticommute kind); otherwise both are None and
-    ``anticommutator_norm`` reports ||{A, S}||.
+    (transpose-minus kind) and ``chiral`` is a power-of-two multiple of the
+    product S @ A (linear-anticommute kind), or None where that product is
+    zero; otherwise both are None and ``anticommutator_norm`` reports
+    ||{A, S}||.
     """
 
     eta: SymOp | None
@@ -276,6 +281,9 @@ def pseudo_from_sa(H) -> SAResult:
     If S and A anticommute (within ``PASS_TOL * ||A|| * ||S||``), the
     antisymmetric part itself satisfies the transpose-minus relation and
     S @ A anticommutes with H; both are verified before being returned.
+    The chiral matrix is f**2 * (S @ A), formed from the parts of f * H,
+    f the power of two that brings H's largest real or imaginary part into
+    [0.5, 1), so that it neither overflows nor underflows at any scale of H.
     A singular antisymmetric part is returned with a warning and
     ``allow_singular`` set, its relation still checked in inverse-free form.
     """
@@ -284,12 +292,14 @@ def pseudo_from_sa(H) -> SAResult:
     if not A.any():
         return SAResult(None, None, 0.0)
     # the parts of the power-of-two rescaled H, so that no product
-    # overflows; the exact rescaling is undone for the reported norm
+    # overflows or underflows; the exact rescaling is undone for the
+    # reported norm
     f = float(_unit_factors(H)[0])
     As, Ss = A * f, S * f
+    norm_a, norm_s = _fro_norm(As), _fro_norm(Ss)
     anti_unit = _fro_norm(As @ Ss + Ss @ As)
     anti = anti_unit / f / f
-    if not anti_unit <= PASS_TOL * max(_fro_norm(As) * _fro_norm(Ss), 1e-300):
+    if not anti_unit <= PASS_TOL * max(norm_a * norm_s, 1e-300):
         return SAResult(None, None, anti)
     singular = not np.linalg.cond(A) <= COND_MAX
     if singular:
@@ -301,14 +311,21 @@ def pseudo_from_sa(H) -> SAResult:
         )
     eta = SymOp(A, TRANSPOSE_MINUS, label="antisymmetric part",
                 allow_singular=singular)
+    # with X = {S, A}: check's residual of A is ||X|| / (||H|| ||A||), and
+    # as H (S A) + (S A) H = X A + S X, that of P = S A is at most
+    # ||X|| (||A|| + ||S||) / (||H|| ||P||); both scale-free, so taken
+    # from the rescaled parts
+    norm_h = _fro_norm(H * f)
+    bounds = [(eta, anti_unit, norm_h * norm_a)]
+    P = Ss @ As
     chiral = None
-    if S.any():
-        chiral = SymOp(S @ A, LINEAR_ANTICOMMUTE, label="S @ A product")
-    for op in filter(None, (eta, chiral)):
+    if P.any():
+        chiral = SymOp(P, LINEAR_ANTICOMMUTE, label="S @ A product")
+        bounds.append((chiral, anti_unit * (norm_a + norm_s),
+                       norm_h * _fro_norm(P)))
+    for op, num, den in bounds:
         r = check(H, op)
-        bound = max(10 * anti / max(_fro_norm(H) * _fro_norm(op.matrix),
-                                    1e-300), PASS_TOL)
-        if not r <= bound:
+        if not r <= max(10 * num / max(den, 1e-300), PASS_TOL):
             raise RuntimeError(f"split operator failed verification ({r:.3g})")
     return SAResult(eta, chiral, anti)
 

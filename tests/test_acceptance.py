@@ -104,7 +104,7 @@ def test_criterion_04_wheel_protocols_and_hidden_partner():
     with _gate(4, "wheel sweeps; chiral product survives complex offset"):
         proto = spectra.protocol("2b")
         result = spectra.sweep(proto.matrix_at, proto.lo, proto.hi,
-                               n_steps=400, param_name=proto.param_name)
+                               n_steps=400)
         for step in result.steps:
             cls = spectra.classify_spectrum(step.eigenvalues)
             assert cls.origin <= 1e-8
@@ -113,7 +113,7 @@ def test_criterion_04_wheel_protocols_and_hidden_partner():
 
         proto = spectra.protocol("2c")
         result = spectra.sweep(proto.matrix_at, proto.lo, proto.hi,
-                               n_steps=400, param_name=proto.param_name)
+                               n_steps=400)
         reals, imags = [], []
         for step in result.steps:
             cls = spectra.classify_spectrum(step.eigenvalues)
@@ -176,7 +176,7 @@ def test_criterion_05_pyramid_detuning():
         for tag in ("4c", "4d"):
             proto = spectra.protocol(tag)
             result = spectra.sweep(proto.matrix_at, proto.lo, proto.hi,
-                                   n_steps=400, param_name=proto.param_name)
+                                   n_steps=400)
             for step in result.steps:
                 assert spectra.classify_spectrum(
                     step.eigenvalues).origin <= 1e-8
@@ -199,7 +199,7 @@ def test_criterion_06_detuned_mirror_chain():
 
         proto = spectra.protocol("5b")
         result = spectra.sweep(proto.matrix_at, proto.lo, proto.hi,
-                               n_steps=400, param_name=proto.param_name)
+                               n_steps=400)
         for step in result.steps:
             assert spectra.classify_spectrum(step.eigenvalues).origin <= 1e-8
 

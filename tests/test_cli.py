@@ -1,5 +1,6 @@
 """End-to-end runs of the console entry point (in process)."""
 
+import dataclasses
 import inspect
 import os
 import re
@@ -103,6 +104,29 @@ def test_check_model_file_with_operator_file(capsys, tmp_path):
                        "--op", str(opath))
     assert code == 0
     assert "pass" in out
+
+
+@pytest.mark.parametrize("kind, dim, preset", [
+    ("linear_anticommute", 13, ("flake", "--tau", "0.9")),
+    ("antilinear_commute", 4, ("dirac4a",)),
+])
+def test_check_refuses_zero_operator_file(capsys, tmp_path, kind, dim,
+                                          preset):
+    # no entry lines: M = 0 satisfies every relation, and it passed with
+    # residual 0
+    opath = tmp_path / "zero.op"
+    opath.write_text(f"kind {kind}\ndim {dim}\n")
+    code, out, err = run(capsys, "check", "--preset", *preset,
+                         "--op", str(opath))
+    assert code == 2 and out == ""
+    assert "operator is zero" in err
+
+
+def test_check_refuses_zero_operator_expression(capsys):
+    code, out, err = run(capsys, "check", "--preset", "dirac4a",
+                         "--op", "(0+0i)*g1")
+    assert code == 2 and out == ""
+    assert "operator is zero" in err
 
 
 def test_check_model_file_without_hints_needs_op(capsys, tmp_path):
@@ -236,8 +260,16 @@ def test_thresholds_are_not_parameters():
                        (symmetry.pseudo_properties, "tol"),
                        (symmetry.hidden_nhph, "tol"),
                        (clifford.verify_product_identities, "draws"),
-                       (clifford.verify_product_identities, "seed")):
+                       (clifford.verify_product_identities, "seed"),
+                       (spectra.sweep, "param_name")):
         assert gone not in inspect.signature(func).parameters
+    # the protocol, not the sweep result, names the swept parameter
+    assert [f.name for f in dataclasses.fields(spectra.SweepResult)] == [
+        "steps", "events"]
+    # every caller states its own threshold
+    for func in (linalg.nullspace, linalg.multiplicities):
+        tol = inspect.signature(func).parameters["tol"]
+        assert tol.default is inspect.Parameter.empty
 
 
 def _failed_eig(*args, **kwargs):
@@ -386,3 +418,15 @@ def test_readme_discover_relations_match_the_table():
     sentence = re.search(r"Relations for `--discover`:([^.]*)\.", text)
     names = tuple(re.findall(r"`(\w+)`", sentence.group(1)))
     assert names == symmetry.DISCOVER_RELATIONS
+
+
+def test_readme_thresholds_match_the_constants():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        bullets = re.findall(r"^- `(\w+)\.(\w+)` \(([^)]*)\):", fh.read(),
+                             flags=re.MULTILINE)
+    modules = {"linalg": linalg, "spectra": spectra, "symmetry": symmetry}
+    named = {f"{module}.{name}" for module, name, _ in bullets}
+    assert len(named) == len(bullets) == 16
+    for module, name, value in bullets:
+        assert getattr(modules[module], name) == float(value), name

@@ -68,8 +68,11 @@ def test_from_terms_sums_reordered_products():
 
 
 def test_gamma_argument_forms():
-    assert_array_equal(gamma("g0*g5"), gamma((0, 5)))
     assert_array_equal(gamma(5), gamma((5,)))
+    # text is an expression, read by parse_expr; "" is not the identity
+    for text in ("g0*g5", "1", ""):
+        with pytest.raises(ValueError, match="not a generator index"):
+            gamma(text)
     with pytest.raises(ValueError):
         gamma(4)
     with pytest.raises(ValueError):

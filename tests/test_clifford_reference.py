@@ -152,6 +152,13 @@ def _parameter_sets(count=200, seed=10):
         yield g, detunings
 
 
+def _index_tuples(detunings):
+    """The detunings with each string spelling read as its factor tuple,
+    the only label form ``model.pyramid`` takes."""
+    return tuple((clifford._parse_factors(label) if isinstance(label, str)
+                  else label, coeff) for label, coeff in detunings)
+
+
 def _models(g, detunings):
     """(model, reference hints) for each 4-site builder with hints."""
     beta = g[3] if g[3].imag else g[3].real
@@ -160,7 +167,7 @@ def _models(g, detunings):
     for v in ("a", "b"):
         yield model.dirac4(v, g[0], g[1]), ref_dirac4_hints(v, g[0], g[1])
     for v in ("nochiral", "chiral"):
-        m = model.pyramid(v, *g[:3], detunings=detunings)
+        m = model.pyramid(v, *g[:3], detunings=_index_tuples(detunings))
         H, hints = ref_pyramid(v, *g[:3], detunings)
         assert np.array_equal(m.matrix, H), (v, detunings)
         yield m, hints

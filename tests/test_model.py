@@ -131,7 +131,10 @@ def test_pyramid_variants():
 
 def test_pyramid_detuning_label_restriction():
     model.pyramid("chiral", 1, 1, 0.8, detunings=(((0,), 0.2),))
-    model.pyramid("chiral", 1, 1, 0.8, detunings=(("g1*g2", 0.2),))
+    model.pyramid("chiral", 1, 1, 0.8, detunings=(((1, 2), 0.2),))
+    # a label is an index tuple; text goes through clifford.parse_expr
+    with pytest.raises(ValueError, match="not a generator index"):
+        model.pyramid("chiral", 1, 1, 0.8, detunings=(("g1*g2", 0.2),))
     with pytest.raises(ValueError):
         model.pyramid("chiral", 1, 1, 0.8, detunings=(((1, 3), 0.2),))
     with pytest.raises(ValueError):

@@ -158,8 +158,7 @@ def test_ep_rejects_bad_tolerance(name, tol):
 
 def test_sweep_trajectories_are_continuous():
     family = lambda t: model.to_matrix(model.honeycomb_flake(1.0, t))
-    result = spectra.sweep(family, 0.0, 2.0, n_steps=80, param_name="tau")
-    assert result.param_name == "tau"
+    result = spectra.sweep(family, 0.0, 2.0, n_steps=80)
     assert len(result.steps) == 80
     traj = np.array([s.eigenvalues for s in result.steps])
     jumps = np.abs(np.diff(traj, axis=0)).max()

@@ -72,9 +72,10 @@ def test_check_rejects_non_finite_residual():
 
 
 def _unit_scaled_one(A):
-    # the per-matrix rescaling that the stacked one must reproduce exactly
-    peak = max(np.max(np.abs(A.real), initial=0.0),
-               np.max(np.abs(A.imag), initial=0.0))
+    # the per-matrix rescaling that the stacked one must reproduce exactly;
+    # a NaN in a real or an imaginary part leaves the matrix as it is
+    peak = np.maximum(np.max(np.abs(A.real), initial=0.0),
+                      np.max(np.abs(A.imag), initial=0.0))
     if not 0 < peak < np.inf:
         return A
     return A * np.ldexp(1.0, -max(int(np.frexp(peak)[1]), -1021))
@@ -128,6 +129,14 @@ def test_stacked_residuals_match_per_operator_across_blocks():
             op = SymOp(M, kind, allow_singular=True)
             assert_allclose(check(1e200 * H, op), check(H, op),
                             rtol=1e-14, atol=0)
+
+
+def test_symop_refuses_zero_operator():
+    # every relation holds for M = 0, so check would pass it with residual 0
+    for kind in symmetry.KINDS:
+        for zero in (np.zeros((3, 3)), np.full((2, 2), -0.0 - 0.0j)):
+            with pytest.raises(ValueError, match="operator is zero"):
+                SymOp(zero, kind, allow_singular=True)
 
 
 def test_symop_validation():
@@ -247,6 +256,33 @@ def test_pseudo_from_sa_survives_huge_matrices():
     assert res.eta is not None and res.chiral is None
     assert_array_equal(res.eta.matrix, 2.0**530 * SY)
     assert res.anticommutator_norm == 0.0
+
+
+def test_pseudo_from_sa_at_extreme_scales():
+    # S @ A underflowed to zero at 2**-540, a chiral operator that passed
+    # every check, and overflowed at 2**530
+    H = np.array([[1, 1], [-1, -1]], dtype=complex)
+    for k in (-540, -300, 0, 300, 530):
+        res = symmetry.pseudo_from_sa(2.0**k * H)
+        assert res.eta is not None and res.chiral is not None
+        for op in (res.eta, res.chiral):
+            assert np.isfinite(op.matrix).all() and op.matrix.any()
+            assert check(2.0**k * H, op) <= symmetry.PASS_TOL
+        # f**2 * S @ A, with f**2 = 2**-(2k + 2): one matrix at every scale
+        assert_array_equal(res.chiral.matrix, SX / 4)
+
+
+def test_pseudo_from_sa_chiral_bound_is_scale_free(monkeypatch):
+    # the parts anticommute to about 1e-12 relative, within PASS_TOL; a
+    # chiral residual of 1e-3 must fail verification at every scale, as
+    # it did at scale 1 only when the bound scaled like 1 / ||H||
+    H = np.array([[1 + 1e-12, 1], [-1, -1 + 1e-12]], dtype=complex)
+    true_check = symmetry.check
+    monkeypatch.setattr(symmetry, "check", lambda H, op: (
+        true_check(H, op) if op.kind == TRANSPOSE_MINUS else 1e-3))
+    for k in (-300, 0, 300):
+        with pytest.raises(RuntimeError, match="failed verification"):
+            symmetry.pseudo_from_sa(2.0**k * H)
 
 
 # --- discovery ------------------------------------------------------------
