@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _records
 from .clifford import GammaExpr, format_expr, gamma
-from .linalg import _as_square
+from .linalg import _as_square, _real
 
 SUBLATTICES = ("A", "B", "none")
 
@@ -166,8 +166,7 @@ def honeycomb_flake(g: float, tau: float) -> Model:
         Bipartite, 7 majority (A) and 6 minority (B) sites.  The imaginary
         potentials sit exactly on the support of the Hermitian zero mode.
     """
-    g = float(g)
-    tau = float(tau)
+    g, tau = _real(g, "g"), _real(tau, "tau")
     if g <= 0:
         raise ValueError("g must be positive")
     if tau < 0:
@@ -339,13 +338,11 @@ def bipartite_pseudo(T, D_A, D_B, name: str = "bipartite_pseudo",
     T = np.asarray(T, dtype=complex)
     if T.ndim != 2:
         raise ValueError(f"T must be 2-d, got shape {T.shape}")
-    D_A = np.asarray(D_A, dtype=float)
-    D_B = np.asarray(D_B, dtype=float)
+    D_A, D_B = _real(D_A, "D_A"), _real(D_B, "D_B")
     na, nb = T.shape
-    if D_A.shape != (na,) or D_B.shape != (nb,):
-        raise ValueError(
-            f"detuning shapes {D_A.shape}, {D_B.shape} do not match T {T.shape}"
-        )
+    if np.shape(D_A) != (na,) or np.shape(D_B) != (nb,):
+        raise ValueError(f"detuning shapes {np.shape(D_A)}, {np.shape(D_B)} "
+                         f"do not match T {T.shape}")
     H = np.zeros((na + nb, na + nb), dtype=complex)
     H[:na, :na] = 1j * np.diag(D_A)
     H[na:, na:] = 1j * np.diag(D_B)
@@ -372,7 +369,7 @@ def mirror_chain(delta: float, g1: complex = CHAIN_COUPLING) -> Model:
     operator eta with ``eta @ H.T @ inv(eta) = -H``, and the reversal alone
     composed with complex conjugation commutes with H.
     """
-    delta = float(delta)
+    delta = _real(delta, "delta")
     g1 = complex(g1)
     T = np.array([[g1, 0], [g1, np.conj(g1)], [0, np.conj(g1)]])
     D_A = delta * np.array([1.0, 0.0, -1.0])
@@ -440,7 +437,8 @@ def ssh_bloch(variant: str, t1: float, t2: float, tau: float, k: float) -> np.nd
     breaks that anticommutation for tau != 0 but satisfies
     ``sy @ H.T @ inv(sy) = -H`` at every k.
     """
-    t1, t2, tau, k = float(t1), float(t2), float(tau), float(k)
+    t1, t2 = _real(t1, "t1"), _real(t2, "t2")
+    tau, k = _real(tau, "tau"), _real(k, "k")
     hx = t1 + t2 * np.cos(k)
     hy = t2 * np.sin(k)
     sx = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import model as model_mod
-from .linalg import (TOL_CLUSTER, _fro_norm, _require_tol, eig,
+from .linalg import (TOL_CLUSTER, _fro_norm, _real, _require_tol, eig,
                      multiplicities)
 from .symmetry import REFLECTIONS
 
@@ -138,7 +138,7 @@ class EPReport:
 def jordan2(delta: float) -> np.ndarray:
     """Two-level family [[0, 1], [delta, 0]] with a second-order
     exceptional point at delta = 0."""
-    return np.array([[0.0, 1.0], [float(delta), 0.0]], dtype=complex)
+    return np.array([[0.0, 1.0], [_real(delta, "delta"), 0.0]], dtype=complex)
 
 
 def ep_locate(family: Callable[[float], np.ndarray], bracket,
@@ -158,7 +158,7 @@ def ep_locate(family: Callable[[float], np.ndarray], bracket,
     _require_tol(found_tol, "found_tol")
     if not np.isfinite(target):
         raise ValueError(f"target must be finite, got {target!r}")
-    a, b = float(bracket[0]), float(bracket[1])
+    a, b = _real(bracket[0], "bracket"), _real(bracket[1], "bracket")
     if not np.isfinite(b - a):
         raise ValueError(f"bracket ({a}, {b}) must have finite ends and width")
     if not a < b:
@@ -194,7 +194,7 @@ def ep_locate(family: Callable[[float], np.ndarray], bracket,
             if not lo < x2 < hi:
                 break
             f2 = spread(x2)[0]
-    p_hat = (lo + hi) / 2.0
+    p_hat = float((lo + hi) / 2.0)
     s_hat, H, vals = spread(p_hat)
     if s_hat > found_tol:
         return EPReport(False, p_hat, None, 0, 0, 0, s_hat)
@@ -202,7 +202,9 @@ def ep_locate(family: Callable[[float], np.ndarray], bracket,
     radius = max(5.0 * s_hat, TOL_CLUSTER * _fro_norm(H))
     cluster = vals[np.abs(vals - target) <= radius]
     value = complex(cluster.mean()) if cluster.size else complex(target)
-    alg, geo = multiplicities(H, value, tol=radius)
+    # a zero radius means H = 0 and every eigenvalue exactly at the target
+    alg, geo = (multiplicities(H, value, tol=radius) if radius
+                else (vals.size, vals.size))
     return EPReport(True, p_hat, value, alg, geo, alg - geo + 1, s_hat)
 
 
@@ -263,7 +265,7 @@ def sweep(family: Callable[[float], np.ndarray], lo: float, hi: float,
         raise ValueError("n_steps must be at least 2")
     if n_steps > MAX_STEPS:
         raise ValueError(f"n_steps exceeds the limit ({n_steps} > {MAX_STEPS})")
-    lo, hi = float(lo), float(hi)
+    lo, hi = _real(lo, "lo"), _real(hi, "hi")
     if not np.isfinite(hi - lo):
         raise ValueError(f"sweep range ({lo}, {hi}) must have finite ends "
                          "and width")

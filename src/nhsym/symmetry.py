@@ -158,10 +158,6 @@ class SymOp:
                 )
 
 
-def _fro(M) -> float:
-    return float(np.linalg.norm(M))
-
-
 def _fro_norms(A: np.ndarray) -> np.ndarray:
     """Frobenius norms of a (k, n, n) stack, each summed in the order
     ``np.linalg.norm`` sums one matrix: a dot product of the real parts
@@ -172,30 +168,14 @@ def _fro_norms(A: np.ndarray) -> np.ndarray:
     return np.sqrt(sq[:, 0, 0])
 
 
-# operators verified per stacked residual, bounding the (block, n, n)
-# temporaries of one discovery's verification
-VERIFY_BLOCK = 8
-
-
-# entries of the (solutions, k, n, n) products that one block of a dense
-# kernel's basis sums holds: 1 MB, or one solution's where that is more
-SUM_BLOCK = 2**16
-
-
 def _residuals(H: np.ndarray, kind: str, mats: np.ndarray) -> np.ndarray:
-    """:func:`check`'s residual of every matrix of the (k, n, n) stack
-    ``mats`` as an operator of ``kind``, verified ``VERIFY_BLOCK`` at a
-    time.  H must already be :func:`_unit_scaled`.  Not finite where H has
-    non-finite entries."""
-    rel = RELATIONS[kind]
-    norm_h = _fro(H)
-    out = np.zeros(len(mats))
-    for s in range(0, len(mats), VERIFY_BLOCK):
-        M = _unit_scaled(mats[s:s + VERIFY_BLOCK])
-        denom = norm_h * _fro_norms(M)
-        np.divide(_fro_norms(rel.residual(H, M)), denom,
-                  out=out[s:s + VERIFY_BLOCK], where=denom != 0)
-    return out
+    """:func:`check`'s residual of every matrix of the nonempty (k, n, n)
+    stack ``mats`` as an operator of ``kind``.  H must already be
+    :func:`_unit_scaled`.  Not finite where H has non-finite entries."""
+    M = _unit_scaled(mats)
+    denom = _fro_norm(H) * _fro_norms(M)
+    return np.divide(_fro_norms(RELATIONS[kind].residual(H, M)), denom,
+                     out=np.zeros(len(M)), where=denom != 0)
 
 
 def check(H, op: SymOp) -> float:
@@ -225,30 +205,30 @@ def check(H, op: SymOp) -> float:
     return r
 
 
-def product_chiral(X, C, label: str = "") -> SymOp:
+def product_chiral(X, C) -> SymOp:
     """Linear anticommuting operator from an antilinear commuting X and an
     antilinear anticommuting C: the product ``X @ conj(C)``.
 
     When both ingredient relations hold for some H, the result anticommutes
     with that H; callers verify with :func:`check` rather than assuming.
     """
-    return _product(X, C, LINEAR_ANTICOMMUTE, label)
+    return _product(X, C, LINEAR_ANTICOMMUTE)
 
 
-def product_pseudo(X, zeta, label: str = "") -> SymOp:
+def product_pseudo(X, zeta) -> SymOp:
     """Transpose-type operator from an antilinear commuting X and a
     dagger-minus zeta: the product ``X @ conj(zeta)``.
     """
-    return _product(X, zeta, TRANSPOSE_MINUS, label)
+    return _product(X, zeta, TRANSPOSE_MINUS)
 
 
-def _product(X, Y, kind: str, label: str) -> SymOp:
+def _product(X, Y, kind: str) -> SymOp:
     """The product rule: ``X @ conj(Y)`` as an operator of ``kind``."""
     X = np.asarray(X, dtype=complex)
     Y = np.asarray(Y, dtype=complex)
     if X.shape != Y.shape:
         raise ValueError(f"shape mismatch: {X.shape} vs {Y.shape}")
-    return SymOp(X @ Y.conj(), kind, label=label)
+    return SymOp(X @ Y.conj(), kind)
 
 
 def sa_split(H) -> tuple[np.ndarray, np.ndarray]:
@@ -398,8 +378,10 @@ def discover(H, relation: str, basis=None, labels=None,
     # and a power of two is exact
     H = _unit_scaled(_as_square(H))
     n = H.shape[0]
-    if labels is not None and (basis is None or len(labels) != len(basis)):
-        raise ValueError("labels need a basis, one label per element")
+    if labels is not None:
+        if basis is None or len(labels) != len(basis):
+            raise ValueError("labels need a basis, one label per element")
+        labels = tuple(map(tuple, labels))
     if basis is not None:
         mats = [np.asarray(b, dtype=complex) for b in basis]
         if not mats:
@@ -446,7 +428,7 @@ def _eigen_dyads(H, kind: str, tol: float) -> list[SymOp] | None:
     if sigma.size and not sigma[-1] * SPECTRAL_COND_MAX >= sigma[0]:
         return None
     gap = np.abs(lam[:, None] - REFLECTIONS[rel.reflection](lam)[None, :])
-    i, j = np.nonzero(gap <= tol * _fro(H))
+    i, j = np.nonzero(gap <= tol * _fro_norm(H))
     if not i.size:
         return []
     # one n x n dyad per pair: up to n^4 entries, 68.7 GB at n = 256
@@ -484,7 +466,7 @@ def _dyad_bounds(H, rel: Relation, lam, V, U, i, j) -> np.ndarray:
     back_u = (np.linalg.norm(U @ rel.right(H) - mu[:, None] * U, axis=1)
               / np.linalg.norm(U, axis=1))
     bound = np.abs(lam[i] - mu[j]) + back_v[i] + back_u[j]
-    norm_h = _fro(H)
+    norm_h = _fro_norm(H)
     # for H = 0 every term is 0, and so is check's residual
     return bound / norm_h if norm_h else bound
 
@@ -504,15 +486,14 @@ def _dense_kernel(H, kind: str, mats: np.ndarray, labels,
     R = RELATIONS[kind].residual(H, mats)
     coeffs = _pivot_normalized(
         nullspace(R.transpose(0, 2, 1).reshape(k, -1).T, tol).T)
-    # each solution an ordered sum over the basis, a block of solutions at
-    # a time: tensordot would regroup the additions and change the last
-    # digits of the result, and one broadcast over all solutions would hold
-    # a (solutions, k, n, n) temporary
-    sols = np.empty((len(coeffs),) + mats.shape[1:], dtype=complex)
-    block = max(1, SUM_BLOCK // mats.size)
-    for s in range(0, len(coeffs), block):
-        sols[s:s + block] = (coeffs[s:s + block, :, None, None]
-                             * mats).sum(axis=1)
+    if not len(coeffs):
+        return []
+    # each solution a sum over the basis in basis order, with no
+    # (solutions, k, n, n) temporary; optimize would hand it to BLAS,
+    # which regroups the additions.  Every product with a basis16 or
+    # unit-matrix element is exact, so those sums equal a per-solution
+    # loop bit for bit; an inexact complex product may round otherwise
+    sols = np.einsum("sa,aij->sij", coeffs, mats)
     r = _residuals(H, kind, sols)
     failed = np.flatnonzero(~(r <= tol))
     if failed.size:
@@ -529,8 +510,7 @@ def _coefficient_label(c, labels) -> str:
     # abs of each Python complex, as the scalar abs that the filter has
     # always used: np.abs of the array can differ in the last bit
     return clifford._expansion_text(
-        tuple(map(tuple, labels)),
-        [x if abs(x) > cutoff else None for x in c.tolist()])
+        labels, [x if abs(x) > cutoff else None for x in c.tolist()])
 
 
 def named_operator(m, hint: str) -> SymOp:

@@ -229,6 +229,45 @@ def test_bad_tolerance_exits_two(capsys, tol):
             assert "finite positive" in err
 
 
+@pytest.mark.parametrize("argv, shown, want", [
+    (["check", "--preset", "flake", "--tau", "0.9", "--tol", "1e-12"],
+     "7/7 declared operators pass (tol 1e-12)", 0),
+    (["check", "--preset", "dirac4a", "--discover", "chiral", "--tol", "1e-6"],
+     "chiral solution space dimension 8", 0),
+    # even rounding error in the spectrum fails a threshold of 1e-20
+    (["sweep", "--fig", "4c", "--steps", "5", "--tol", "1e-20"],
+     "VIOLATED", 1),
+    (["ep", "--family", "jordan2", "--bracket", "-0.1", "0.1", "--tol", "1e-30"],
+     "no exceptional point", 1),
+])
+def test_accepted_tolerance_reaches_the_command(capsys, tmp_path, argv, shown,
+                                                want):
+    if argv[0] == "sweep":
+        argv = argv + ["--out", str(tmp_path)]
+    code, out, _ = run(capsys, *argv)
+    assert code == want
+    assert shown in out
+
+
+@pytest.mark.parametrize("name, text, line, message", [
+    ("bad.model", "name m\nn_sites 2\nhop 0 x 1 0\n", 3,
+     "bad hop fields ['0', 'x', '1', '0']"),
+    ("bad.model", "name m\nn_sites four\n", 2,
+     "n_sites needs one integer, got 'four'"),
+    ("bad.op", "kind linear_anticommute\ndim 2\nentry 0 1 1 z\n", 3,
+     "bad entry fields ['0', '1', '1', 'z']"),
+])
+def test_unreadable_record_fields_exit_two(capsys, tmp_path, name, text, line,
+                                           message):
+    path = tmp_path / name
+    path.write_text(text)
+    source = (["--file", str(path)] if name.endswith(".model")
+              else ["--preset", "dirac4a", "--op", str(path)])
+    code, _, err = run(capsys, "check", *source)
+    assert code == 2
+    assert err == f"error: {path}:{line}: {message}\n"
+
+
 def test_cli_defaults_are_the_library_constants(monkeypatch, capsys):
     parser = cli.build_parser()
     sweep = parser.parse_args(["sweep", "--fig", "2b"])

@@ -81,3 +81,48 @@ def test_spectral_and_dense_kernels_agree():
                     _orthonormal(spectral).conj().T @ _orthonormal(dense),
                     compute_uv=False)
                 assert cosines.min() >= 1 - 1e-6, (rel.discover_name, n)
+
+
+def _jordan(blocks):
+    """Direct sum of Jordan blocks, each ``(value, size)``."""
+    n = sum(size for _, size in blocks)
+    J = np.zeros((n, n), dtype=complex)
+    at = 0
+    for lam, size in blocks:
+        J[at:at + size, at:at + size] = lam * np.eye(size) + np.eye(size, k=1)
+        at += size
+    return J
+
+
+# block sets of defective matrices, which discovery hands to the dense
+# kernel over the n^2 unit matrices
+_JORDAN_SETS = (
+    ((1, 2), (-1, 1), (-1, 3)),
+    ((1j, 2), (-1j, 2), (1j, 1)),
+    ((1 + 2j, 3), (-1 - 2j, 1), (1 - 2j, 2), (-1 + 2j, 1)),
+    ((0, 2), (0, 1), (0.5j, 1), (-0.5j, 2)),
+    ((0.7, 4), (-0.7, 2), (0.7 + 1j, 1)),
+)
+
+
+def test_dense_kernel_dimension_follows_the_jordan_structure():
+    # the solutions of J X = X B, B with blocks (R(lam_j), q_j), number
+    # the sum of min(p_i, q_j) over block pairs with lam_i = R(lam_j)
+    # (Gantmacher, The Theory of Matrices, vol. 1, ch. VIII); a transpose
+    # keeps the block sizes, and a similarity keeps the dimension
+    rng = np.random.default_rng(23)
+    dims = {}
+    for blocks in _JORDAN_SETS:
+        n = sum(size for _, size in blocks)
+        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        S = np.eye(n) + 0.3 * G / np.sqrt(n)
+        H = S @ _jordan(blocks) @ np.linalg.inv(S)
+        for rel in RELATIONS.values():
+            image = REFLECTIONS[rel.reflection]
+            want = sum(min(p, q) for lam, p in blocks for mu, q in blocks
+                       if lam == image(mu))
+            name = rel.discover_name
+            dims[blocks, name] = len(symmetry.discover(H, name))
+            assert dims[blocks, name] == want, (blocks, name)
+    assert [dims[_JORDAN_SETS[0], name]
+            for name in symmetry.DISCOVER_RELATIONS] == [6, 8, 6, 6, 6, 8]

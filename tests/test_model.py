@@ -227,6 +227,32 @@ def test_ssh_bloch_forms():
 
 # --- validation and operators --------------------------------------------
 
+# a numpy complex used to lose its imaginary part with only a warning, and
+# a Python complex raised a bare TypeError from float()
+_REAL_PARAMETERS = {
+    "flake g": (lambda x: model.honeycomb_flake(x, 0.5), "g"),
+    "flake tau": (lambda x: model.honeycomb_flake(1.0, x), "tau"),
+    "chain delta": (model.mirror_chain, "delta"),
+    "bloch t1": (lambda x: model.ssh_bloch("asym_coupling", x, 1, 0, 0), "t1"),
+    "bloch t2": (lambda x: model.ssh_bloch("asym_coupling", 1, x, 0, 0), "t2"),
+    "bloch tau": (lambda x: model.ssh_bloch("imag_onsite", 1, 1, x, 0), "tau"),
+    "bloch k": (lambda x: model.ssh_bloch("imag_onsite", 1, 1, 0, x), "k"),
+    "bipartite D_A": (lambda x: model.bipartite_pseudo(
+        np.ones((1, 1)), [x], [0.0]), "D_A"),
+    "bipartite D_B": (lambda x: model.bipartite_pseudo(
+        np.ones((1, 1)), [0.0], [x]), "D_B"),
+}
+
+
+@pytest.mark.parametrize("site", _REAL_PARAMETERS)
+def test_real_parameters_refuse_complex_values(site):
+    build, name = _REAL_PARAMETERS[site]
+    build(0.3)
+    for value in (np.complex128(0.3 + 0.2j), 0.3 + 0j):
+        with pytest.raises(ValueError, match=f"^{name} must be real, got "):
+            build(value)
+
+
 def test_model_validation():
     hop = np.array([[0, 0], [1.0, 0]])  # amplitude from site 0 to site 1
     with pytest.raises(ValueError, match=r"coupling \(0, 1\) stays inside"):

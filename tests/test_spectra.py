@@ -127,6 +127,41 @@ def test_ep_param_tol_below_float_spacing_returns(monkeypatch):
     assert rep.parameter == pytest.approx(0.5)
 
 
+def test_ep_zero_family_counts_every_eigenvalue():
+    # the cluster radius max(5 * spread, TOL_CLUSTER * ||H||_F) is 0 there;
+    # the report matches that of the scalar family p * I
+    zero = spectra.ep_locate(lambda p: np.zeros((3, 3)), (0, 1))
+    scalar = spectra.ep_locate(lambda p: p * np.eye(3), (0, 1))
+    missed = spectra.ep_locate(spectra.jordan2, (0.5, 1.0))
+    for rep in (zero, scalar):
+        assert rep.found
+        assert (rep.algebraic, rep.geometric, rep.order) == (3, 3, 1)
+    assert zero.value == 0 and zero.spread == 0.0
+    for rep in (zero, scalar, missed):
+        assert type(rep.parameter) is float and type(rep.spread) is float
+
+
+# a numpy complex used to lose its imaginary part with only a warning, and
+# a Python complex raised a bare TypeError from float()
+_REAL_PARAMETERS = {
+    "jordan2 delta": (spectra.jordan2, "delta"),
+    "ep_locate lo": (lambda x: spectra.ep_locate(spectra.jordan2, (x, 1.0)),
+                     "bracket"),
+    "ep_locate hi": (lambda x: spectra.ep_locate(spectra.jordan2, (-1.0, x)),
+                     "bracket"),
+    "sweep lo": (lambda x: spectra.sweep(spectra.jordan2, x, 1.0, 5), "lo"),
+    "sweep hi": (lambda x: spectra.sweep(spectra.jordan2, -1.0, x, 5), "hi"),
+}
+
+
+@pytest.mark.parametrize("site", _REAL_PARAMETERS)
+def test_real_parameters_refuse_complex_values(site):
+    call, name = _REAL_PARAMETERS[site]
+    for value in (np.complex128(0.3 + 0.2j), 0.3 + 0j):
+        with pytest.raises(ValueError, match=f"^{name} must be real, got "):
+            call(value)
+
+
 def _uncalled(p):
     raise AssertionError(f"family called at {p}")
 

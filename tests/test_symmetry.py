@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -113,7 +115,7 @@ def _residual_one(H, kind, M):
 def test_stacked_residuals_match_per_operator_across_blocks():
     rng = np.random.default_rng(4)
     H = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    k = 2 * symmetry.VERIFY_BLOCK + 3
+    k = 19
     mats = rng.normal(size=(k, 5, 5)) + 1j * rng.normal(size=(k, 5, 5))
     mats[k // 2] = 0
     for kind in symmetry.KINDS:
@@ -129,6 +131,32 @@ def test_stacked_residuals_match_per_operator_across_blocks():
             op = SymOp(M, kind, allow_singular=True)
             assert_allclose(check(1e200 * H, op), check(H, op),
                             rtol=1e-14, atol=0)
+
+
+def test_dense_basis_sums_are_within_the_summation_bound(monkeypatch):
+    # with inexact products a solution's sum over the basis may round
+    # otherwise than a per-solution loop, but no entry further than twice
+    # the recursive-summation bound (k + 2) eps sum_a |c_a| |B_a|
+    coeffs = []
+    real = symmetry._coefficient_label
+    monkeypatch.setattr(symmetry, "_coefficient_label",
+                        lambda c, labels: coeffs.append(c) or real(c, labels))
+    rng = np.random.default_rng(5)
+    H = model.to_matrix(model.dirac4("a", 1.0, 0.5))
+    k = 16
+    mats = rng.normal(size=(k, 4, 4)) + 1j * rng.normal(size=(k, 4, 4))
+    found = 0
+    for relation in symmetry.DISCOVER_RELATIONS:
+        del coeffs[:]
+        ops = symmetry.discover(H, relation, basis=mats)
+        assert len(ops) == len(coeffs)
+        found += len(ops)
+        for op, c in zip(ops, coeffs):
+            loop = sum(c[a] * mats[a] for a in range(k))
+            bound = (2 * (k + 2) * np.finfo(float).eps
+                     * np.tensordot(np.abs(c), np.abs(mats), 1))
+            assert np.all(np.abs(op.matrix - loop) <= bound), relation
+    assert found > 0
 
 
 def test_symop_refuses_zero_operator():
@@ -169,6 +197,12 @@ def test_product_chiral_on_flake():
     assert pi.kind == LINEAR_ANTICOMMUTE
     assert check(H, pi) == 0.0
     assert_array_equal(pi.matrix, X @ C)
+
+
+def test_product_constructors_take_no_label():
+    for func in (symmetry.product_chiral, symmetry.product_pseudo,
+                 symmetry._product):
+        assert "label" not in inspect.signature(func).parameters
 
 
 def test_product_pseudo_transforms_covariantly():
