@@ -79,14 +79,19 @@ def _real(value, name: str):
     return float(value) if np.ndim(value) == 0 else np.asarray(value, float)
 
 
+def _peaks(A: np.ndarray) -> np.ndarray:
+    """Per matrix of A (one matrix, or a (k, n, n) stack): its largest real
+    or imaginary part in magnitude, NaN if a part is NaN."""
+    # one pass over the real and imaginary parts side by side
+    parts = np.ascontiguousarray(A, dtype=complex).view(np.float64)
+    return np.abs(parts).max(axis=(-2, -1), initial=0.0)
+
+
 def _unit_factors(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per matrix of A (one matrix, or a (k, n, n) stack): the power of two
     that brings its largest real or imaginary part into [0.5, 1), and
     whether the matrix is nonzero and finite, so that the power applies."""
-    # one pass over the real and imaginary parts side by side; a NaN in
-    # either makes the peak NaN
-    parts = np.ascontiguousarray(A, dtype=complex).view(np.float64)
-    peak = np.abs(parts).max(axis=(-2, -1), initial=0.0)
+    peak = _peaks(A)
     # clamped so the factor itself stays finite for a subnormal peak
     factor = np.ldexp(1.0, -np.maximum(np.frexp(peak)[1], -1021))
     return factor, (0 < peak) & (peak < np.inf)
@@ -106,14 +111,32 @@ def _unit_scaled(A: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fro_norm(H: np.ndarray) -> float:
-    """||H||_F, taken on the power-of-two rescaled H so that no square
-    overflows (``np.linalg.norm(H)`` is inf above about 1e154); bit for
-    bit ``np.linalg.norm(H)`` wherever no square overflows or underflows."""
-    factor, ok = _unit_factors(H)
-    if not ok:
-        return float(np.linalg.norm(H))
-    return float(np.linalg.norm(H * factor)) / float(factor)
+def _fro_norm(A: np.ndarray):
+    """||A||_F of one matrix, or the norms of a (k, m, n) stack, each taken
+    where needed on the matrix rescaled as :func:`_unit_scaled` does, so
+    that no square overflows or underflows (``np.linalg.norm`` is inf
+    above about 1e154).  Bit for bit ``np.linalg.norm`` of each matrix
+    wherever no square overflows or underflows: a stack is summed in its
+    order, a dot product of the real parts plus one of the imaginary
+    parts."""
+    if A.ndim == 2:
+        factor, ok = _unit_factors(A)
+        if not ok:
+            return float(np.linalg.norm(A))
+        return float(np.linalg.norm(A * factor)) / float(factor)
+    # a matrix whose peak lies within 2**+-400 has a squared sum far from
+    # overflow, and a square that underflows lies far below that sum's
+    # rounding; only a stack with another nonzero peak is rescaled
+    peak = _peaks(A)
+    peak = peak[peak != 0]
+    factor = 1.0
+    if peak.size and not (2.0**-400 <= peak.min() and peak.max() <= 2.0**400):
+        factor = _unit_factors(A)[0]
+        A = _unit_scaled(A)
+    # strided views of the parts, as np.linalg.norm takes them
+    re, im = A.real.reshape(len(A), 1, -1), A.imag.reshape(len(A), 1, -1)
+    sq = re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)
+    return np.sqrt(sq[:, 0, 0]) / factor
 
 
 def _fix_phase(vectors: np.ndarray) -> np.ndarray:
@@ -158,7 +181,10 @@ def eig(H) -> EigenSystem:
     order = np.lexsort((np.arange(n), w.imag, w.real))
     w = w[order]
     right = _fix_phase(vr[:, order] / np.linalg.norm(vr[:, order], axis=0))
-    residuals = np.linalg.norm(H @ right - right * w, axis=0)
+    # taken on the power-of-two rescaled H and w, so that no square
+    # overflows or underflows; the rescaling and its undoing are exact
+    f = float(_unit_factors(H)[0])
+    residuals = np.linalg.norm((H * f) @ right - right * (w * f), axis=0) / f
     worst = float(residuals.max()) if n else 0.0
     if worst > TOL_EIG * max(_fro_norm(H), 1e-300):
         raise ConvergenceError("eigenpair residual bound violated", worst)

@@ -368,7 +368,8 @@ def intensity_ratio(psi, m) -> float:
         raise ValueError(f"vector length {psi.size} != {m.n_sites} sites")
     if "A" not in labels or "B" not in labels:
         raise ValueError(f"model {m.name!r} has no A/B site labels")
-    norm = np.linalg.norm(psi)
+    # the norm of the one-row matrix, which no square over- or underflows
+    norm = _fro_norm(psi[None])
     if norm == 0:
         raise ValueError("zero vector")
     intensity = np.abs(psi / norm) ** 2

@@ -158,23 +158,13 @@ class SymOp:
                 )
 
 
-def _fro_norms(A: np.ndarray) -> np.ndarray:
-    """Frobenius norms of a (k, n, n) stack, each summed in the order
-    ``np.linalg.norm`` sums one matrix: a dot product of the real parts
-    plus one of the imaginary parts."""
-    k = len(A)
-    re, im = A.real.reshape(k, 1, -1), A.imag.reshape(k, 1, -1)
-    sq = re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)
-    return np.sqrt(sq[:, 0, 0])
-
-
 def _residuals(H: np.ndarray, kind: str, mats: np.ndarray) -> np.ndarray:
     """:func:`check`'s residual of every matrix of the nonempty (k, n, n)
     stack ``mats`` as an operator of ``kind``.  H must already be
     :func:`_unit_scaled`.  Not finite where H has non-finite entries."""
     M = _unit_scaled(mats)
-    denom = _fro_norm(H) * _fro_norms(M)
-    return np.divide(_fro_norms(RELATIONS[kind].residual(H, M)), denom,
+    denom = _fro_norm(H) * _fro_norm(M)
+    return np.divide(_fro_norm(RELATIONS[kind].residual(H, M)), denom,
                      out=np.zeros(len(M)), where=denom != 0)
 
 
@@ -615,9 +605,20 @@ def pseudo_properties(H, eta, commuting=()) -> PseudoReport:
     eta : SymOp or array_like
         Must already satisfy the transpose-minus relation.
     commuting : sequence of array_like
-        Candidate matrices w; each is tested for ``[w, H] = 0`` first.
+        Candidate matrices w, each finite, nonzero and of H's shape; each
+        is tested for ``[w, H] = 0`` first.
     """
     H = np.asarray(H, dtype=complex)
+    commuting = [np.asarray(w, dtype=complex) for w in commuting]
+    for k, w in enumerate(commuting):
+        if w.shape != H.shape:
+            raise ValueError(f"commuting[{k}] has shape {w.shape}, "
+                             f"H has {H.shape}")
+        if not np.isfinite(w).all():
+            raise ValueError(f"commuting[{k}] has non-finite entries")
+        if not w.any():
+            raise ValueError(f"commuting[{k}] is zero, so it commutes "
+                             "with every H")
     if not isinstance(eta, SymOp):
         eta = SymOp(np.asarray(eta, dtype=complex), TRANSPOSE_MINUS,
                     allow_singular=True)
@@ -633,7 +634,6 @@ def pseudo_properties(H, eta, commuting=()) -> PseudoReport:
     Hu = _unit_scaled(H)
     products = []
     for w in commuting:
-        w = np.asarray(w, dtype=complex)
         wu = _unit_scaled(w)
         comm_rel = (_fro_norm(wu @ Hu - Hu @ wu)
                     / max(_fro_norm(wu) * _fro_norm(Hu), 1e-300))

@@ -177,6 +177,16 @@ def test_ep_chain_not_found(capsys):
     assert "best spread" in out
 
 
+def test_ep_at_huge_parameters_is_a_negative(capsys):
+    # eig's residual norms overflowed at this scale, so a correct
+    # decomposition exited 3 as a numerical failure
+    code, out, err = run(capsys, "ep", "--fig", "2b",
+                         "--bracket", "1e300", "1.1e300")
+    assert code == 1
+    assert "no exceptional point in [1e+300, 1.1e+300]" in out
+    assert err == ""
+
+
 def test_sweep_writes_deterministic_outputs(capsys, tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
@@ -137,10 +137,13 @@ _entry = st.complex_numbers(min_magnitude=0, max_magnitude=3,
 
 @settings(max_examples=40, deadline=None)
 @given(arrays(np.complex128, (4, 4), elements=_entry))
+@example(np.full((4, 4), 2.94365894e-170, dtype=complex))
 def test_eig_backward_error_bound(H):
     # contract: either every returned pair meets the residual bound, or
-    # the decomposition refuses with the worst residual attached
-    scale = np.linalg.norm(H)
+    # the decomposition refuses with the worst residual attached; the
+    # scale-safe norm, since np.linalg.norm(H) underflows to 0 for entries
+    # below about 1e-162 and would demand residuals of 1e-310
+    scale = linalg._fro_norm(H)
     try:
         system = linalg.eig(H)
     except linalg.ConvergenceError as err:
@@ -188,3 +191,34 @@ def test_fix_phase_makes_pivots_real_and_keeps_norms(vectors):
     # an all-zero column stays as it is
     zero = np.all(vectors == 0, axis=0)
     assert_array_equal(fixed[:, zero], vectors[:, zero])
+
+
+@pytest.mark.parametrize("power", [-600, 600])
+def test_eig_residuals_survive_extreme_scale(power):
+    # the residual norms squared their entries: inf above about 1e154, so
+    # a correct decomposition failed its bound, and 0 below about 1e-154,
+    # so the bound passed whatever the vectors were
+    rng = np.random.default_rng(0)
+    H = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    system = linalg.eig(H * 2.0**power)
+    V, w = system.right_vectors, system.values * 2.0**-power
+    assert_array_equal(system.residuals * 2.0**-power,
+                       np.linalg.norm(H @ V - V * w, axis=0))
+    assert 0 < system.residuals.max() <= (linalg.TOL_EIG
+                                          * linalg._fro_norm(H * 2.0**power))
+
+
+@pytest.mark.parametrize("power", [-600, 0, 600])
+def test_fro_norm_of_a_stack_matches_each_matrix(power):
+    rng = np.random.default_rng(5)
+    stack = rng.normal(size=(6, 4, 3)) + 1j * rng.normal(size=(6, 4, 3))
+    stack[1] *= 2.0**-40
+    stack[2] = 0
+    norms = linalg._fro_norm(stack * 2.0**power)
+    assert norms.shape == (6,)
+    assert_array_equal(norms * 2.0**-power,
+                       [np.linalg.norm(A) for A in stack])
+    # a non-finite matrix is summed as it is
+    stack[3, 0, 0] = complex(np.inf, 0.0)
+    assert_array_equal(np.isinf(linalg._fro_norm(stack)),
+                       [False, False, False, True, False, False])

@@ -374,3 +374,25 @@ def _readme_sweep_table():
 def test_readme_sweep_table_matches_protocols():
     assert _readme_sweep_table() == [(tag, p.symmetric)
                                      for tag, p in spectra.PROTOCOLS.items()]
+
+
+def test_zero_modes_and_mode_profile_survive_eig_at_2_to_600():
+    # eig's residual norms overflowed at this scale, so both raised
+    # ConvergenceError on a correct decomposition
+    m = model.mirror_chain(0.3)
+    H = model.to_matrix(m)
+    big = H * 2.0**600
+    assert ([z.kind for z in spectra.zero_modes(big)]
+            == [z.kind for z in spectra.zero_modes(H)])
+    assert abs(spectra.mode_profile(big, 0.0, m).value) <= 1e-12 * 2.0**600
+
+
+@pytest.mark.parametrize("power", [-600, 600])
+def test_intensity_ratio_is_scale_free(power):
+    # the plain norm overflowed to inf above about 1e154 and underflowed
+    # to a "zero vector" below about 1e-162
+    m = model.honeycomb_flake(1.0, 2.0)
+    rng = np.random.default_rng(6)
+    psi = rng.normal(size=13) + 1j * rng.normal(size=13)
+    assert (spectra.intensity_ratio(psi * 2.0**power, m)
+            == spectra.intensity_ratio(psi, m))

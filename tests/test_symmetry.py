@@ -731,6 +731,21 @@ def test_pseudo_properties_rejects_bad_eta():
         symmetry.pseudo_properties(np.eye(2) + SX, SY)
 
 
+@pytest.mark.parametrize("w, message", [
+    # a NaN read as "does not commute", with a RuntimeWarning
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), r"commuting\[1\] has non-finite"),
+    # numpy's matmul message named no argument
+    (np.eye(3), r"commuting\[1\] has shape \(3, 3\), H has \(2, 2\)"),
+    # the zero product was refused as an operator, not as an argument
+    (np.zeros((2, 2)), r"commuting\[1\] is zero"),
+], ids=["non-finite", "shape", "zero"])
+def test_pseudo_properties_refuses_bad_commuting(w, message):
+    H = np.array([[1.0, 1.0], [-1.0, -1.0]])
+    eta = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    with pytest.raises(ValueError, match=message):
+        symmetry.pseudo_properties(H, eta, commuting=(H, w))
+
+
 # --- serialization --------------------------------------------------------
 
 def test_save_load_op_roundtrip(tmp_path):
