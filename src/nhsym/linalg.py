@@ -42,10 +42,11 @@ class EigenSystem:
     """Eigendecomposition with right eigenvectors.
 
     ``values[mu]`` goes with ``right_vectors[:, mu]`` (columns,
-    H @ psi = eps * psi), which has unit Euclidean norm; ``residuals[mu]``
-    is that pair's backward-error norm ``||H @ psi - eps * psi||``.  Left
-    eigenvectors (``phi.T @ H = eps * phi.T``) are the right vectors of
-    ``eig(H.T)``.
+    H @ psi = eps * psi), which is LAPACK ``zgeev``'s vector as returned:
+    unit Euclidean norm, with its largest-magnitude entry real and
+    positive.  ``residuals[mu]`` is that pair's backward-error norm
+    ``||H @ psi - eps * psi||``.  Left eigenvectors
+    (``phi.T @ H = eps * phi.T``) are the right vectors of ``eig(H.T)``.
     """
 
     values: np.ndarray
@@ -139,18 +140,6 @@ def _fro_norm(A: np.ndarray):
     return np.sqrt(sq[:, 0, 0]) / factor
 
 
-def _fix_phase(vectors: np.ndarray) -> np.ndarray:
-    """Scale each column so its largest-magnitude entry is real positive."""
-    if vectors.size == 0:
-        return vectors.copy()
-    pivots = vectors[np.argmax(np.abs(vectors), axis=0),
-                     np.arange(vectors.shape[1])]
-    size = np.abs(pivots)
-    phases = np.divide(np.conj(pivots), size, out=np.ones_like(pivots),
-                       where=size != 0)
-    return vectors * phases
-
-
 def eig(H) -> EigenSystem:
     """Full eigendecomposition with right vectors.
 
@@ -163,7 +152,9 @@ def eig(H) -> EigenSystem:
     -------
     EigenSystem
         Eigenvalues sorted by real part, then imaginary part, ties kept in
-        LAPACK order, with vectors permuted to match.  Every pair satisfies
+        LAPACK order, with vectors permuted to match.  Each vector is
+        ``zgeev``'s: unit 2-norm, largest-magnitude entry real and
+        positive.  Every pair satisfies
         ``||H @ psi - eps * psi|| <= TOL_EIG * ||H||_F``.
 
     Raises
@@ -173,20 +164,21 @@ def eig(H) -> EigenSystem:
         residual achieved is carried on the exception.
     """
     H = _as_square(H)
-    n = H.shape[0]
     try:
         w, vr = np.linalg.eig(H)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition failed: {exc}", np.inf) from exc
-    order = np.lexsort((np.arange(n), w.imag, w.real))
-    w = w[order]
-    right = _fix_phase(vr[:, order] / np.linalg.norm(vr[:, order], axis=0))
-    # taken on the power-of-two rescaled H and w, so that no square
-    # overflows or underflows; the rescaling and its undoing are exact
+    # a stable sort, so ties keep LAPACK's order
+    order = np.lexsort((w.imag, w.real))
+    w, right = w[order], vr[:, order]
+    # the residuals and ||H||_F are taken on the power-of-two rescaled H
+    # and w, so that no square overflows or underflows; the rescaling and
+    # its undoing are exact
     f = float(_unit_factors(H)[0])
-    residuals = np.linalg.norm((H * f) @ right - right * (w * f), axis=0) / f
-    worst = float(residuals.max()) if n else 0.0
-    if worst > TOL_EIG * max(_fro_norm(H), 1e-300):
+    Hf = H * f
+    residuals = np.linalg.norm(Hf @ right - right * (w * f), axis=0) / f
+    worst = float(residuals.max()) if w.size else 0.0
+    if worst > TOL_EIG * max(float(np.linalg.norm(Hf)) / f, 1e-300):
         raise ConvergenceError("eigenpair residual bound violated", worst)
     return EigenSystem(w, right, residuals)
 

@@ -356,22 +356,22 @@ def bipartite_pseudo(T, D_A, D_B, name: str = "bipartite_pseudo",
 CHAIN_COUPLING = 1 - 0.1j
 
 
-def mirror_chain(delta: float, g1: complex = CHAIN_COUPLING) -> Model:
+def mirror_chain(delta: float) -> Model:
     """5-site chain preset: palindromic complex couplings, odd detuning.
 
-    The chain 1-2-3-4-5 carries bond couplings (g1, conj(g1), conj(g1), g1)
-    (each bond Hermitian) and imaginary on-site detuning
-    i*delta*(1, 1, 0, -1, -1) along the chain, odd under site reversal.
-    Sites are stored majority block first: chain positions (1, 3, 5) then
-    (2, 4).
+    The chain 1-2-3-4-5 carries bond couplings (g, conj(g), conj(g), g),
+    g = ``CHAIN_COUPLING`` (each bond Hermitian), and imaginary on-site
+    detuning i*delta*(1, 1, 0, -1, -1) along the chain, odd under site
+    reversal.  Sites are stored majority block first: chain positions
+    (1, 3, 5) then (2, 4).
 
     The reversal permutation composed with the sublattice sign gives an
     operator eta with ``eta @ H.T @ inv(eta) = -H``, and the reversal alone
     composed with complex conjugation commutes with H.
     """
     delta = _real(delta, "delta")
-    g1 = complex(g1)
-    T = np.array([[g1, 0], [g1, np.conj(g1)], [0, np.conj(g1)]])
+    g = CHAIN_COUPLING
+    T = np.array([[g, 0], [g, np.conj(g)], [0, np.conj(g)]])
     D_A = delta * np.array([1.0, 0.0, -1.0])
     D_B = delta * np.array([1.0, -1.0])
     return bipartite_pseudo(

@@ -17,8 +17,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import model as model_mod
-from .linalg import (TOL_CLUSTER, _fro_norm, _real, _require_tol, eig,
-                     multiplicities)
+from .linalg import (TOL_CLUSTER, _fro_norm, _real, _require_tol,
+                     _unit_factors, eig, multiplicities)
 from .symmetry import REFLECTIONS
 
 # thresholds, absolute unless marked relative to ||H||_F
@@ -39,12 +39,17 @@ EP_CONFIRM = 0.6
 EP_OVERLAP = 0.9
 
 def reflection_defect(values, axis: str) -> float:
-    """Largest distance in the optimal pairing of an eigenvalue multiset
-    with its image under the reflection ``REFLECTIONS[axis]``."""
+    """Largest distance in the optimal pairing of an eigenvalue multiset,
+    nonempty and finite, with its image under the reflection
+    ``REFLECTIONS[axis]``."""
     if axis not in REFLECTIONS:
         raise ValueError(
             f"unknown axis {axis!r}; expected one of {tuple(REFLECTIONS)}")
     values = np.asarray(values, dtype=complex).ravel()
+    if values.size == 0:
+        raise ValueError("empty spectrum")
+    if not np.isfinite(values).all():
+        raise ValueError("values have non-finite entries")
     cost = np.abs(values[:, None] - REFLECTIONS[axis](values)[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())
@@ -73,11 +78,6 @@ def classify_spectrum(values) -> SpectrumSymmetry:
     """Measure how close a multiset of eigenvalues is to each reflection
     symmetry, using an optimal pairing between the set and its image;
     :meth:`SpectrumSymmetry.held` judges the defects by ``CLASSIFY_TOL``."""
-    values = np.asarray(values, dtype=complex).ravel()
-    if values.size == 0:
-        raise ValueError("empty spectrum")
-    if not np.isfinite(values).all():
-        raise ValueError("values have non-finite entries")
     return SpectrumSymmetry(
         *(reflection_defect(values, axis) for axis in REFLECTIONS))
 
@@ -273,11 +273,11 @@ def sweep(family: Callable[[float], np.ndarray], lo: float, hi: float,
     rows = []
     prev = None
     for p in params:
-        vals = eig(np.asarray(family(p), dtype=complex)).values
+        vals = eig(family(p)).values
         if prev is not None:
+            # the rows of a square assignment come back as arange(n)
             cost = np.abs(prev[:, None] - vals[None, :])
-            ridx, cidx = linear_sum_assignment(cost)
-            vals = vals[cidx[np.argsort(ridx)]]
+            vals = vals[linear_sum_assignment(cost)[1]]
         rows.append(vals)
         prev = vals
     traj = np.array(rows)
@@ -295,15 +295,19 @@ def sweep(family: Callable[[float], np.ndarray], lo: float, hi: float,
         degen[:, i] = gap.min(axis=1) <= DEGENERACY_TOL
     flags = (np.where(zero, "Z", np.where(imag, "I", "")).astype(object)
              + np.where(degen, "D", "")).tolist()
-    steps = tuple(SweepStep(float(p), v.copy(), tuple(f))
+    steps = tuple(SweepStep(float(p), v, tuple(f))
                   for p, v, f in zip(params, traj, flags))
 
     amax = max(float(mag.max()), 1e-300)
     count_z = zero.sum(axis=1)
     count_d = degen.sum(axis=1)
     # an unpinned trajectory sweeping straight through the origin between
-    # grid points never changes the zero count
-    passes = ((_origin_distance(traj[:-1], traj[1:]) <= 1e-9 * amax)
+    # grid points never changes the zero count; the distances are taken on
+    # the trajectories rescaled by a power of two, exactly, so that no
+    # square overflows
+    unit = _unit_factors(traj)[0]
+    passes = ((_origin_distance(traj[:-1] * unit, traj[1:] * unit)
+               <= 1e-9 * amax * unit)
               & ~(zero[:-1] & zero[1:]))
     found = {"zero_crossing": (count_z[1:] != count_z[:-1]) | passes.any(axis=1),
              "degeneracy": count_d[1:] != count_d[:-1]}
@@ -327,7 +331,7 @@ def sweep(family: Callable[[float], np.ndarray], lo: float, hi: float,
                 best = d[k]
                 overlap = 0.0
                 for q in np.linspace(params[k - 1], params[k + 1], 21):
-                    system = eig(np.asarray(family(q), dtype=complex))
+                    system = eig(family(q))
                     order = np.argsort(np.abs(system.values - mid))
                     a, b = int(order[0]), int(order[1])
                     pair = abs(system.values[a] - system.values[b])

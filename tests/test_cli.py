@@ -310,7 +310,8 @@ def test_thresholds_are_not_parameters():
                        (symmetry.hidden_nhph, "tol"),
                        (clifford.verify_product_identities, "draws"),
                        (clifford.verify_product_identities, "seed"),
-                       (spectra.sweep, "param_name")):
+                       (spectra.sweep, "param_name"),
+                       (model.mirror_chain, "g1")):
         assert gone not in inspect.signature(func).parameters
     # the protocol, not the sweep result, names the swept parameter
     assert [f.name for f in dataclasses.fields(spectra.SweepResult)] == [

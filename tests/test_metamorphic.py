@@ -1,13 +1,15 @@
 """Relations between discovery runs that must hold on every input.
 
 Public API only.  A similarity transform maps the solution space of each
-relation onto that of the transformed matrix, and the two discovery
-kernels (spectral, and dense over a caller's basis) answer one question.
+relation onto that of the transformed matrix, a relabelling of the sites
+keeps every discovered dimension and spectrum verdict, and the two
+discovery kernels (spectral, and dense over a caller's basis) answer one
+question.
 """
 
 import numpy as np
 
-from nhsym import model, symmetry
+from nhsym import linalg, model, spectra, symmetry
 from nhsym.symmetry import REFLECTIONS, RELATIONS, SymOp
 
 _MODELS = (
@@ -44,6 +46,28 @@ def test_similarity_maps_solution_spaces():
                     mapped = SymOp(S @ op.matrix @ T, kind,
                                    allow_singular=True)
                     assert symmetry.check(H2, mapped) <= 1e-9, (m.name, kind)
+
+
+# one model of each of the seven CLI presets
+_PRESETS = _MODELS + (model.dirac4("b", 1.0, 0.5),
+                      model.pyramid("nochiral", 1.0, 0.5, 0.8))
+
+
+def test_site_permutation_keeps_dimensions_and_verdicts():
+    # H' = P H P^T is H with its sites relabelled
+    rng = np.random.default_rng(24)
+    for m in _PRESETS:
+        H = model.to_matrix(m)
+        dims = [len(symmetry.discover(H, name))
+                for name in symmetry.DISCOVER_RELATIONS]
+        held = spectra.classify_spectrum(linalg.eig(H).values).held()
+        for _ in range(2):
+            perm = rng.permutation(len(H))
+            H2 = H[perm][:, perm]
+            assert [len(symmetry.discover(H2, name))
+                    for name in symmetry.DISCOVER_RELATIONS] == dims, m.name
+            assert spectra.classify_spectrum(
+                linalg.eig(H2).values).held() == held, m.name
 
 
 def _planted(rng, n, reflection):

@@ -38,6 +38,15 @@ def test_classify_validation():
         spectra.classify_spectrum([1, np.nan])
 
 
+@pytest.mark.parametrize("values, message", [
+    ([], "empty spectrum"), ([np.inf, 1], "values have non-finite")])
+def test_reflection_defect_validation(values, message):
+    # numpy's "zero-size array to reduction operation" and scipy's "cost
+    # matrix is infeasible" used to surface here
+    with pytest.raises(ValueError, match=message):
+        spectra.reflection_defect(values, "origin")
+
+
 # --- zero modes -----------------------------------------------------------
 
 def test_zero_modes_kinds():
@@ -224,6 +233,17 @@ def test_sweep_zero_crossing_between_grid_points():
     crossings = [e for e in result.events if e.kind == "zero_crossing"]
     assert len(crossings) == 1
     assert crossings[0].param == pytest.approx(0.4303, abs=0.03)
+
+
+def test_sweep_zero_crossing_at_any_scale():
+    # the segment's squared length overflowed at 2**600, which hid the
+    # crossing between the two grid points
+    for scale in (1.0, 2.0**600):
+        family = lambda p: np.array([[(p - 0.55) * scale, 0],
+                                     [0, 1j * scale]])
+        result = spectra.sweep(family, 0.0, 1.0, n_steps=2)
+        assert [(e.step, e.kind) for e in result.events] == [
+            (1, "zero_crossing")], scale
 
 
 def test_sweep_degeneracy_event():
