@@ -37,10 +37,11 @@ basis, take the dense kernel instead: the nullspace of the matrix whose
 columns are the residual map applied to each basis element (by default
 the n^2 unit matrices, an n^2 x n^2 matrix, hence capped at n = 32).
 
-Alongside: product constructors combining an antilinear symmetry with a
-conjugation-type one, the symmetric/antisymmetric split rule, and a
-90-degree complex rotation that exchanges which relation pair underlies a
-transpose-type symmetry.
+Alongside: :func:`product`, the paper's product rule read from the table:
+for X of a non-transposing kind, X cx(Y) has the composition of X's and
+Y's reflections and Y's transpose flag.  Also the symmetric/antisymmetric
+split rule, and a 90-degree complex rotation that exchanges which relation
+pair underlies a transpose-type symmetry.
 """
 
 from __future__ import annotations
@@ -129,6 +130,7 @@ DENSE_KERNEL_MAX_N = 32
 class SymOp:
     """A candidate symmetry operator: matrix, relation kind, readable label.
 
+    The matrix is kept as a read-only complex copy of the one passed.
     The matrix must not be zero: every relation holds for it, so it would
     pass any check.  Operators of transpose or dagger kind must be
     invertible (condition number at most ``COND_MAX``) unless constructed
@@ -144,7 +146,9 @@ class SymOp:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown relation kind {self.kind!r}")
-        M = _as_square(self.matrix, "operator")
+        # a copy, so that the caller cannot change the checked operator
+        M = _as_square(self.matrix, "operator").copy()
+        M.flags.writeable = False
         if not M.any():
             raise ValueError("operator is zero, so every relation holds for it")
         object.__setattr__(self, "matrix", M)
@@ -195,30 +199,28 @@ def check(H, op: SymOp) -> float:
     return r
 
 
-def product_chiral(X, C) -> SymOp:
-    """Linear anticommuting operator from an antilinear commuting X and an
-    antilinear anticommuting C: the product ``X @ conj(C)``.
+def product(x: SymOp, y: SymOp) -> SymOp:
+    """The product rule: ``X @ cx(Y)``, of the kind ``RELATIONS`` gives.
 
-    When both ingredient relations hold for some H, the result anticommutes
-    with that H; callers verify with :func:`check` rather than assuming.
+    For x of a non-transposing kind, ``H X = X Rx(H)`` and ``H Y = Y B``
+    give ``H P = P Rx(B)``, with cx conjugating exactly when Rx does.  Two
+    distinct reflections compose to the third (with the identity they form
+    the Klein four-group), and P transposes as y does.  A transposing x,
+    and two equal reflections (P would commute with H), are refused.  P
+    may be singular if x or y may; callers verify it with :func:`check`.
     """
-    return _product(X, C, LINEAR_ANTICOMMUTE)
-
-
-def product_pseudo(X, zeta) -> SymOp:
-    """Transpose-type operator from an antilinear commuting X and a
-    dagger-minus zeta: the product ``X @ conj(zeta)``.
-    """
-    return _product(X, zeta, TRANSPOSE_MINUS)
-
-
-def _product(X, Y, kind: str) -> SymOp:
-    """The product rule: ``X @ conj(Y)`` as an operator of ``kind``."""
-    X = np.asarray(X, dtype=complex)
-    Y = np.asarray(Y, dtype=complex)
+    rx, ry = RELATIONS[x.kind], RELATIONS[y.kind]
+    if rx.transpose or rx.reflection == ry.reflection:
+        raise ValueError(f"no product rule for {x.kind} times {y.kind}: x "
+                         "must not transpose, the reflections must differ")
+    X, Y = x.matrix, y.matrix
     if X.shape != Y.shape:
         raise ValueError(f"shape mismatch: {X.shape} vs {Y.shape}")
-    return SymOp(X @ Y.conj(), kind)
+    reflection = ({*REFLECTIONS} - {rx.reflection, ry.reflection}).pop()
+    kind = next(k for k, rel in RELATIONS.items() if
+                (rel.reflection, rel.transpose) == (reflection, ry.transpose))
+    return SymOp(X @ (Y.conj() if rx.conj else Y), kind,
+                 allow_singular=x.allow_singular or y.allow_singular)
 
 
 def sa_split(H) -> tuple[np.ndarray, np.ndarray]:
@@ -558,7 +560,7 @@ def hidden_nhph(beta: complex, g1: complex, g2: complex) -> SymOp:
     if not r <= PASS_TOL:
         raise RuntimeError(f"construction failed verification ({r:.3g})")
     # both rescaled by powers of two, so that no inner product overflows
-    pi = _unit_scaled(product_chiral(rot2, C).matrix)
+    pi = _unit_scaled(product(SymOp(rot2, ANTILINEAR_COMMUTE), op).matrix)
     pi_expected = _unit_scaled(
         g2.real * clifford.gamma(1) + 1j * g1.imag * clifford.gamma(3))
     scale = np.vdot(pi_expected, pi) / np.vdot(pi_expected, pi_expected)

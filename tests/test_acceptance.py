@@ -137,7 +137,7 @@ def test_criterion_04_wheel_protocols_and_hidden_partner():
         assert symmetry.check(H, C) <= 1e-10
         rt = symmetry.named_operator(
             m, [h for h in m.symmetry_hints if h.startswith("rt:")][0])
-        prod = symmetry.product_chiral(rt.matrix, C.matrix)
+        prod = symmetry.product(rt, C)
         assert symmetry.check(H, prod) <= 1e-10
         chiral = symmetry.named_operator(
             m, [h for h in m.symmetry_hints if h.startswith("chiral:")][0])

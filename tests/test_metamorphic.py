@@ -4,12 +4,17 @@ Public API only.  A similarity transform maps the solution space of each
 relation onto that of the transformed matrix, a relabelling of the sites
 keeps every discovered dimension and spectrum verdict, and the two
 discovery kernels (spectral, and dense over a caller's basis) answer one
-question.
+question.  Across layers: the product rule maps the solution spaces of
+two relations onto that of a third, and every declared operator that
+passes its check lies in the space discovered for its relation.
 """
 
-import numpy as np
+import itertools
 
-from nhsym import linalg, model, spectra, symmetry
+import numpy as np
+import pytest
+
+from nhsym import cli, linalg, model, spectra, symmetry
 from nhsym.symmetry import REFLECTIONS, RELATIONS, SymOp
 
 _MODELS = (
@@ -150,3 +155,110 @@ def test_dense_kernel_dimension_follows_the_jordan_structure():
             assert dims[blocks, name] == want, (blocks, name)
     assert [dims[_JORDAN_SETS[0], name]
             for name in symmetry.DISCOVER_RELATIONS] == [6, 8, 6, 6, 6, 8]
+
+
+# the seven CLI presets at their defaults, then the flake, the wheel and
+# the chain at non-default parameters
+_PARSER = cli.build_parser()
+_CROSS_MODELS = tuple(
+    build(_PARSER.parse_args(["check", "--preset", name]))
+    for name, build in cli.PRESETS.items()) + (
+    model.honeycomb_flake(1.0, 0.7),
+    model.rt_wheel(0.75, 1 + 0.6j, 1.5 + 0.4j),
+    model.mirror_chain(0.3),
+)
+_CROSS_IDS = [f"{i}-{m.name}" for i, m in enumerate(_CROSS_MODELS)]
+
+
+def _spaces(H):
+    return {kind: symmetry.discover(H, rel.discover_name)
+            for kind, rel in RELATIONS.items()}
+
+
+def _product_kind(kind_x, kind_y):
+    """The kind of X cx(Y) for X of kind_x and Y of kind_y, composing the
+    two reflections on a probe value: None for a transposing X, or where
+    they compose to the identity, which no kind of the table is."""
+    rx, ry = RELATIONS[kind_x], RELATIONS[kind_y]
+    if rx.transpose:
+        return None
+    z = 0.3 + 0.7j
+    image = REFLECTIONS[rx.reflection](REFLECTIONS[ry.reflection](z))
+    return next((kind for kind, rel in RELATIONS.items()
+                 if rel.transpose == ry.transpose
+                 and REFLECTIONS[rel.reflection](z) == image), None)
+
+
+def _span_basis(mats):
+    """Orthonormal columns spanning the flattened matrices, rank taken at
+    1e-10 of the largest singular value."""
+    A = np.array([M.ravel() for M in mats]).T
+    U, sigma, _ = np.linalg.svd(A, full_matrices=False)
+    return U[:, sigma > 1e-10 * sigma[0]]
+
+
+def _distance(Q, v):
+    """Distance of v from the span of the orthonormal columns Q."""
+    return np.linalg.norm(v - Q @ (Q.conj().T @ v))
+
+
+def _combination(rng, kind, ops):
+    """A random complex combination of the operators, as one of ``kind``."""
+    c = rng.standard_normal(len(ops)) + 1j * rng.standard_normal(len(ops))
+    return SymOp(sum(a * op.matrix for a, op in zip(c, ops)), kind,
+                 allow_singular=True)
+
+
+@pytest.mark.parametrize("m", _CROSS_MODELS, ids=_CROSS_IDS)
+def test_product_kind_comes_from_the_table(m):
+    H = model.to_matrix(m)
+    rng = np.random.default_rng(27)
+    spaces = _spaces(H)
+    pairs = 0
+    for (kind_x, xs), (kind_y, ys) in itertools.product(spaces.items(),
+                                                        repeat=2):
+        want = _product_kind(kind_x, kind_y)
+        if want is None or not xs or not ys:
+            continue
+        pairs += 1
+        for _ in range(3):
+            p = symmetry.product(_combination(rng, kind_x, xs),
+                                 _combination(rng, kind_y, ys))
+            assert p.kind == want, (kind_x, kind_y)
+            assert symmetry.check(H, p) <= 1e-13, (kind_x, kind_y)
+    assert pairs == (0 if m.name == "pyramid_nochiral" else 12)
+
+
+@pytest.mark.parametrize("m", _CROSS_MODELS, ids=_CROSS_IDS)
+def test_product_spans_the_third_space(m):
+    # the paper's first route, bosonic X times nhph C giving the chiral
+    # space, and the same for every pair the table composes: span{X cx(Y)}
+    # is the solution space of the product's kind.  Spans, not single
+    # products: most products of two flake dyads are zero
+    H = model.to_matrix(m)
+    spaces = _spaces(H)
+    for (kind_x, xs), (kind_y, ys) in itertools.product(spaces.items(),
+                                                        repeat=2):
+        want = _product_kind(kind_x, kind_y)
+        if want is None or not xs or not ys:
+            continue
+        conj = RELATIONS[kind_x].conj
+        P = _span_basis([x.matrix @ (y.matrix.conj() if conj else y.matrix)
+                         for x in xs for y in ys])
+        Q = _span_basis([op.matrix for op in spaces[want]])
+        assert P.shape == Q.shape, (kind_x, kind_y)
+        assert _distance(Q, P) <= 1e-13, (kind_x, kind_y)
+        assert _distance(P, Q) <= 1e-13, (kind_x, kind_y)
+
+
+@pytest.mark.parametrize("m", _CROSS_MODELS, ids=_CROSS_IDS)
+def test_declared_operators_lie_in_the_discovered_space(m):
+    H = model.to_matrix(m)
+    spaces = _spaces(H)
+    for hint in m.symmetry_hints:
+        op = symmetry.named_operator(m, hint)
+        if not symmetry.check(H, op) <= symmetry.PASS_TOL:
+            continue
+        v = op.matrix.ravel()
+        Q = _span_basis([s.matrix for s in spaces[op.kind]])
+        assert _distance(Q, v) <= 1e-13 * np.linalg.norm(v), hint

@@ -167,6 +167,18 @@ def test_symop_refuses_zero_operator():
                 SymOp(zero, kind, allow_singular=True)
 
 
+def test_symop_keeps_a_read_only_copy():
+    # emptying the caller's array once made the operator zero after its
+    # zero test, and check([[0, 1], [2, 0]], op) a false 0.0
+    A = np.eye(2, dtype=complex)
+    op = SymOp(A, LINEAR_ANTICOMMUTE)
+    A[:] = 0
+    assert_array_equal(op.matrix, np.eye(2))
+    assert check([[0, 1], [2, 0]], op) == pytest.approx(np.sqrt(2))
+    with pytest.raises(ValueError, match="read-only"):
+        op.matrix[0, 0] = 0
+
+
 def test_symop_validation():
     with pytest.raises(ValueError):
         SymOp(SZ, "mystery")
@@ -188,24 +200,53 @@ def test_symop_validation():
 
 # --- products -------------------------------------------------------------
 
-def test_product_chiral_on_flake():
+def test_product_of_rt_and_nhph_is_chiral_on_flake():
     m = model.honeycomb_flake(1.0, 0.9)
     H = model.to_matrix(m)
     X = model.lattice_operator(m, "mirror2")
     C = model.lattice_operator(m, "sublattice")
-    pi = symmetry.product_chiral(X, C)
+    pi = symmetry.product(SymOp(X, ANTILINEAR_COMMUTE),
+                          SymOp(C, ANTILINEAR_ANTICOMMUTE))
     assert pi.kind == LINEAR_ANTICOMMUTE
     assert check(H, pi) == 0.0
     assert_array_equal(pi.matrix, X @ C)
 
 
 def test_product_constructors_take_no_label():
-    for func in (symmetry.product_chiral, symmetry.product_pseudo,
-                 symmetry._product):
-        assert "label" not in inspect.signature(func).parameters
+    assert list(inspect.signature(symmetry.product).parameters) == ["x", "y"]
 
 
-def test_product_pseudo_transforms_covariantly():
+def test_product_refuses_transposing_x_and_equal_reflections():
+    refused = 0
+    for kx, rx in symmetry.RELATIONS.items():
+        for ky, ry in symmetry.RELATIONS.items():
+            x, y = SymOp(SY, kx), SymOp(SX, ky)
+            if rx.transpose or rx.reflection == ry.reflection:
+                refused += 1
+                with pytest.raises(ValueError, match=f"{kx} times {ky}"):
+                    symmetry.product(x, y)
+            else:
+                symmetry.product(x, y)
+    # all three transposing x, and one y of each transpose flag per
+    # reflection of a non-transposing x
+    assert refused == 18 + 6
+    with pytest.raises(ValueError, match="shape mismatch"):
+        symmetry.product(SymOp(SX, ANTILINEAR_COMMUTE),
+                         SymOp(np.eye(3), LINEAR_ANTICOMMUTE))
+
+
+def test_product_keeps_the_invertibility_check():
+    # a singular antilinear X times an invertible dagger-minus operator
+    # is a singular transpose-minus operator, refused unless a factor
+    # allows it
+    X = SymOp(np.diag([1.0, 0.0]), ANTILINEAR_COMMUTE)
+    with pytest.raises(ValueError, match="singular"):
+        symmetry.product(X, SymOp(SZ, DAGGER_MINUS))
+    eta = symmetry.product(X, SymOp(SZ, DAGGER_MINUS, allow_singular=True))
+    assert eta.kind == TRANSPOSE_MINUS and eta.allow_singular
+
+
+def test_pseudo_chiral_product_transforms_covariantly():
     # a valid (H, X, zeta) triple stays valid under unitary change of
     # basis with X -> U X U^T and zeta -> U zeta U^dagger
     m = model.mirror_chain(0.45)
@@ -216,11 +257,11 @@ def test_product_pseudo_transforms_covariantly():
     A = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     U = np.linalg.qr(A)[0]
     H = U @ H0 @ U.conj().T
-    X = U @ X0 @ U.T
-    zeta = U @ zeta0 @ U.conj().T
-    assert check(H, SymOp(X, ANTILINEAR_COMMUTE)) <= 1e-14
-    assert check(H, SymOp(zeta, DAGGER_MINUS)) <= 1e-14
-    eta = symmetry.product_pseudo(X, zeta)
+    X = SymOp(U @ X0 @ U.T, ANTILINEAR_COMMUTE)
+    zeta = SymOp(U @ zeta0 @ U.conj().T, DAGGER_MINUS)
+    assert check(H, X) <= 1e-14
+    assert check(H, zeta) <= 1e-14
+    eta = symmetry.product(X, zeta)
     assert eta.kind == TRANSPOSE_MINUS
     assert check(H, eta) <= 1e-13
     assert_allclose(eta.matrix, U @ (X0 @ zeta0) @ U.T, atol=1e-13)
@@ -649,7 +690,7 @@ def test_hidden_nhph_matches_rotation_product():
     assert op.kind == ANTILINEAR_ANTICOMMUTE
     assert check(H, op) == 0.0
     rot2 = 1j * gamma((2, 3))
-    pi = symmetry.product_chiral(rot2, op.matrix)
+    pi = symmetry.product(SymOp(rot2, ANTILINEAR_COMMUTE), op)
     expected = g2.real * gamma(1) + 1j * g1.imag * gamma(3)
     assert_allclose(pi.matrix, expected, atol=1e-14)
 
