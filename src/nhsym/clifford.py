@@ -5,12 +5,14 @@ Generators 0 and 5 square to +1, generators 1, 2, 3 square to -1.  A product
 of generators is a strictly ascending index tuple (``()`` is the identity);
 ``GammaExpr.from_terms`` reduces any factor order to it, with the sign picked
 up moved into the coefficient.  Every product expression thus has a unique
-form, and operators found by numerical search read as expressions.
+form, and operators found by numerical search read as expressions.  Such a
+search labels its basis with distinct canonical products, as
+``basis16_labels`` gives them, so that each printed coefficient is the
+operator's own.
 """
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 
@@ -134,11 +136,14 @@ class GammaExpr:
     def from_terms(pairs) -> "GammaExpr":
         """Sum ``(factors, coefficient)`` pairs, each factor sequence
         multiplied left to right in any order and with repeats."""
-        pairs = list(pairs)
-        plan = _term_plan(tuple(tuple(factors) for factors, _ in pairs))
+        sums: dict[tuple[int, ...], complex] = {}
+        for factors, coeff in pairs:
+            indices, sign = _canonicalize(factors)
+            sums[indices] = sums.get(indices, 0j) + complex(coeff) * sign
         return GammaExpr(tuple(
-            (indices, c) for indices, _, c in
-            _plan_sums(plan, [complex(coeff) for _, coeff in pairs])))
+            (indices, c) for indices, c in
+            sorted(sums.items(), key=lambda kv: (len(kv[0]), kv[0]))
+            if c != 0))
 
     def to_matrix(self) -> np.ndarray:
         out = np.zeros((4, 4), dtype=complex)
@@ -207,55 +212,13 @@ def _parse_coefficient(body: str, pos: int) -> complex:
 
 def format_expr(e: GammaExpr) -> str:
     """Render an expression in the same grammar parse_expr accepts."""
-    return _format_terms((_product_name(indices), coeff)
-                         for indices, coeff in e.terms)
-
-
-def _format_terms(named) -> str:
-    parts = [f"({_format_complex(coeff)})*{name}" for name, coeff in named]
+    parts = [f"({_format_complex(coeff)})*{_product_name(indices)}"
+             for indices, coeff in e.terms]
     return " + ".join(parts) if parts else "(0+0i)"
 
 
 def _product_name(indices: tuple[int, ...]) -> str:
-    return "*".join(f"g{i}" for i in indices) if indices else "1"
-
-
-@functools.lru_cache(maxsize=64)
-def _term_plan(factor_lists: tuple) -> tuple:
-    """How coefficients, one per factor sequence of ``factor_lists``, sum
-    into an expression: one ``(indices, name, contributors)`` entry per
-    distinct canonical product, in expression order (by length, then
-    indices), with ``contributors`` its ``(position, sign)`` pairs in
-    input order."""
-    groups: dict[tuple[int, ...], list] = {}
-    for a, factors in enumerate(factor_lists):
-        indices, sign = _canonicalize(factors)
-        groups.setdefault(indices, []).append((a, sign))
-    return tuple((indices, _product_name(indices), tuple(contributors))
-                 for indices, contributors in
-                 sorted(groups.items(), key=lambda kv: (len(kv[0]), kv[0])))
-
-
-def _plan_sums(plan, coeffs) -> list:
-    """``(indices, name, coefficient)`` of each product of ``plan`` whose
-    sum is nonzero; a coefficient given as None is left out of its sum."""
-    out = []
-    for indices, name, contributors in plan:
-        total = 0j
-        for a, sign in contributors:
-            x = coeffs[a]
-            if x is not None:
-                total = total + x * sign
-        if total != 0:
-            out.append((indices, name, total))
-    return out
-
-
-def _expansion_text(factor_lists: tuple, coeffs) -> str:
-    """``format_expr`` of the sum of the ``(factor_lists[a], coeffs[a])``
-    pairs whose coefficient is not None, from the memoized plan."""
-    return _format_terms((name, c) for _, name, c in
-                         _plan_sums(_term_plan(factor_lists), coeffs))
+    return "*".join([f"g{i}" for i in indices]) if indices else "1"
 
 
 def expr_to_matrix(e) -> np.ndarray:

@@ -47,8 +47,9 @@ pair underlies a transpose-type symmetry.
 from __future__ import annotations
 
 import functools
+import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,24 +125,29 @@ SPECTRAL_COND_MAX = 1e6
 # largest n the dense kernel takes without a caller basis: its matrix is
 # n^2 x n^2, 16 MB of complex entries at n = 32
 DENSE_KERNEL_MAX_N = 32
+# the labels discover accepts, each to itself: the canonical generator
+# products, strictly ascending tuples of int indices
+_PRODUCTS = {p: p for k in range(len(clifford.INDICES) + 1)
+             for p in itertools.combinations(clifford.INDICES, k)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymOp:
     """A candidate symmetry operator: matrix, relation kind, readable label.
 
-    The matrix is kept as a read-only complex copy of the one passed.
-    The matrix must not be zero: every relation holds for it, so it would
-    pass any check.  Operators of transpose or dagger kind must be
-    invertible (condition number at most ``COND_MAX``) unless constructed
-    with ``allow_singular=True``, in which case only the inverse-free form
-    of their relation is meaningful.
+    Operators compare and hash by identity; compare ``matrix`` and
+    ``kind`` to compare operators.  The matrix is kept as a read-only
+    complex copy of the one passed.  It must not be zero: every relation
+    holds for it, so it would pass any check.  Operators of transpose or
+    dagger kind must be invertible (condition number at most
+    ``COND_MAX``) unless constructed with ``allow_singular=True``, in which
+    case only the inverse-free form of their relation is meaningful.
     """
 
     matrix: np.ndarray
     kind: str
     label: str = ""
-    allow_singular: bool = field(default=False, compare=False)
+    allow_singular: bool = False
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -337,10 +343,11 @@ def discover(H, relation: str, basis=None, labels=None,
         proved once per distinct basis content: passing the same matrices
         again reuses the verdict.
     labels : sequence of index tuples, optional
-        One generator product per basis element, as
-        :func:`clifford.basis16_labels` gives them; only with a basis.
-        When given, each solution's label is its expansion as a generator
-        expression.
+        One generator product per basis element, only with a basis: the
+        distinct canonical products, strictly ascending tuples of
+        ``clifford.INDICES``, as :func:`clifford.basis16_labels` gives
+        them.  When given, each solution's label is its expansion as a
+        generator expression.
     tol : float
         Finite and positive: the pairing gap and residual bound above,
         ``DISCOVER_TOL`` by default.
@@ -373,7 +380,13 @@ def discover(H, relation: str, basis=None, labels=None,
     if labels is not None:
         if basis is None or len(labels) != len(basis):
             raise ValueError("labels need a basis, one label per element")
-        labels = tuple(map(tuple, labels))
+        # a label names its element's coefficient as printed, so a product
+        # in another factor order would print it with the wrong sign; an
+        # index such as 0.0 or np.int64(0) is read as the int it equals
+        labels = tuple(_PRODUCTS.get(tuple(l)) for l in labels)
+        if None in labels or len(set(labels)) < len(labels):
+            raise ValueError("labels must be distinct canonical products, "
+                             "strictly ascending tuples of clifford.INDICES")
     if basis is not None:
         mats = [np.asarray(b, dtype=complex) for b in basis]
         if not mats:
@@ -500,9 +513,13 @@ def _coefficient_label(c, labels) -> str:
         return ""
     cutoff = 1e-12 * float(np.abs(c).max())
     # abs of each Python complex, as the scalar abs that the filter has
-    # always used: np.abs of the array can differ in the last bit
-    return clifford._expansion_text(
-        labels, [x if abs(x) > cutoff else None for x in c.tolist()])
+    # always used: np.abs of the array can differ in the last bit; + 0j
+    # turns a -0.0 part into +0.0.  The labels are distinct, so the sort
+    # never compares coefficients
+    terms = sorted((len(l), l, x + 0j) for l, x in zip(labels, c.tolist())
+                   if abs(x) > cutoff)
+    return clifford.format_expr(
+        clifford.GammaExpr(tuple((l, x) for _, l, x in terms)))
 
 
 def named_operator(m, hint: str) -> SymOp:

@@ -110,18 +110,33 @@ def test_two_label_lists_on_one_basis_give_their_own_labels(monkeypatch):
     calls = _recording(monkeypatch)
     H = model.dirac4("a", 1 + 0.2j, 0.5).matrix
     plain = clifford.basis16_labels()
-    # the pairs spelt in reverse: each is minus its canonical product
-    reversed_pairs = [l[::-1] for l in plain]
     texts = {}
-    for name, labels in (("plain", plain), ("reversed", reversed_pairs),
-                         ("plain again", plain)):
+    for name in ("plain", "plain again"):
         del calls[:]
         ops = symmetry.discover(H, "chiral", basis=clifford.basis16(),
-                                labels=labels)
+                                labels=plain)
         texts[name] = [op.label for op in ops]
-        assert texts[name] == [ref_coefficient_label(c, labels)
+        assert texts[name] == [ref_coefficient_label(c, plain)
                                for c, _, _ in calls]
-    assert texts["plain again"] == texts["plain"] != texts["reversed"]
+        for op in ops:
+            assert np.allclose(clifford.expr_to_matrix(op.label), op.matrix,
+                               rtol=0, atol=1e-11)
+    assert texts["plain again"] == texts["plain"]
+    # indices that equal an int are read as it, so the label text parses
+    numeric = [tuple(np.int64(i) for i in l) for l in plain[:-1]]
+    ops = symmetry.discover(H, "chiral", basis=clifford.basis16(),
+                            labels=numeric + [(3.0, 5.0)])
+    assert [op.label for op in ops] == texts["plain"]
+    # a label printed in another factor order, a repeated one or a
+    # non-index would misname its element's coefficient: all refused
+    bad = {"reversed": [l[::-1] for l in plain],
+           "duplicate": plain[:-1] + [plain[1]],
+           "non-index": plain[:-1] + [(4,)],
+           "not a tuple of indices": plain[:-1] + ["g0"]}
+    for labels in bad.values():
+        with pytest.raises(ValueError, match="labels"):
+            symmetry.discover(H, "chiral", basis=clifford.basis16(),
+                              labels=labels)
 
 
 def test_basis_mutated_in_place_is_proved_again():

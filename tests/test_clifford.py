@@ -87,6 +87,12 @@ def test_parse_expr_and_format_roundtrip():
     assert_allclose(again.to_matrix(), e.to_matrix(), atol=0)
 
 
+def test_parse_expr_reads_a_coefficient_alone_as_the_identity():
+    e = clifford.parse_expr("(0.5+0i)")
+    assert e.terms == (((), 0.5 + 0j),)
+    assert clifford.format_expr(e) == "(0.5+0i)*1"
+
+
 def test_parse_expr_errors_report_position():
     with pytest.raises(ValueError, match="position"):
         clifford.parse_expr("g0 + + g1")
@@ -146,6 +152,12 @@ def test_expand_in_basis16_roundtrip():
     assert_allclose(rebuilt, M, atol=1e-12)
 
 
+def test_expand_in_basis16_refuses_other_shapes():
+    with pytest.raises(ValueError, match=r"need a 4x4 matrix, got shape "
+                                         r"\(3, 3\)"):
+        clifford.expand_in_basis16(np.eye(3))
+
+
 def test_verifiers_find_no_violations():
     assert clifford.verify_clifford() == []
     assert clifford.verify_product_identities() == []
@@ -155,7 +167,7 @@ _coeff = st.complex_numbers(min_magnitude=0, max_magnitude=2,
                             allow_nan=False, allow_infinity=False)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, derandomize=True)
 @given(st.sampled_from(clifford.INDICES),
        st.tuples(_coeff, _coeff, _coeff, _coeff))
 def test_partner_sum_product_anticommutes(j, coeffs):

@@ -160,7 +160,7 @@ _entry = st.complex_numbers(min_magnitude=0, max_magnitude=3,
                             allow_nan=False, allow_infinity=False)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(arrays(np.complex128, (4, 4), elements=_entry))
 @example(np.full((4, 4), 2.94365894e-170, dtype=complex))
 def test_eig_backward_error_bound(H):
@@ -224,3 +224,12 @@ def test_fro_norm_of_a_stack_matches_each_matrix(power):
     stack[3, 0, 0] = complex(np.inf, 0.0)
     assert_array_equal(np.isinf(linalg._fro_norm(stack)),
                        [False, False, False, True, False, False])
+
+
+@pytest.mark.parametrize("M, message", [
+    (np.ones(3), r"M must be 2-d, got shape \(3,\)"),
+    (np.array([[1.0, np.nan], [0.0, 1.0]]), r"M has non-finite entries"),
+], ids=["1-d", "nan"])
+def test_nullspace_refusals_name_their_cause(M, message):
+    with pytest.raises(ValueError, match=message):
+        linalg.nullspace(M, 1e-10)

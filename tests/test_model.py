@@ -407,3 +407,21 @@ def test_load_model_comments_and_labels(tmp_path):
     assert_allclose(model.to_matrix(m),
                     np.array([[0.25j, 1.0], [1.0, 0.0]]), atol=0)
     assert m.sublattice == ("A", "B")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: model.bipartite_pseudo([1.0, 2.0], [0.0], [0.0]),
+     r"T must be 2-d, got shape \(2,\)"),
+    (lambda: model.bipartite_pseudo(np.ones((2, 3)), [0.0, 0.1], [0.2]),
+     r"detuning shapes \(2,\), \(1,\) do not match T \(2, 3\)"),
+    (lambda: model.flake_mirror(4), r"mirror index must be 1, 2 or 3, got 4"),
+    (lambda: model.pyramid("hidden", 1.0, 0.5, 0.8),
+     r"variant must be 'nochiral' or 'chiral', got 'hidden'"),
+    (lambda: model.lattice_operator(model.pyramid("chiral", 1.0, 0.5, 0.8),
+                                    "sublattice"),
+     r"model 'pyramid_chiral' has unlabeled sites"),
+], ids=["bipartite-1d-T", "bipartite-detunings", "flake_mirror-4",
+        "pyramid-variant", "lattice_operator-unlabeled"])
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

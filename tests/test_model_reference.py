@@ -179,7 +179,7 @@ def _sparse_models(draw):
     return model.Model("random", H, labels, non_bipartite=non_bipartite)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(_sparse_models())
 def test_save_load_round_trip_of_sparse_matrices(tmp_path_factory, m):
     path = tmp_path_factory.mktemp("m") / "random.model"

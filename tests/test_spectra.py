@@ -416,3 +416,16 @@ def test_intensity_ratio_is_scale_free(power):
     psi = rng.normal(size=13) + 1j * rng.normal(size=13)
     assert (spectra.intensity_ratio(psi * 2.0**power, m)
             == spectra.intensity_ratio(psi, m))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: spectra.reflection_defect([1.0, -1.0], "diagonal"),
+     r"unknown axis 'diagonal'; expected one of \('origin', 'real', "
+     r"'imag'\)"),
+    (lambda: spectra.mode_profile(np.eye(3), 1.0,
+                                  model.honeycomb_flake(1.0, 0.5)),
+     r"matrix size 3 != 13 sites"),
+], ids=["reflection_defect-axis", "mode_profile-size"])
+def test_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -167,6 +167,17 @@ def test_symop_refuses_zero_operator():
                 SymOp(zero, kind, allow_singular=True)
 
 
+def test_symop_compares_and_hashes_by_identity():
+    # the generated __eq__ compared the matrices with ==, so membership
+    # raised on the ambiguous truth value of an array, and hash raised on
+    # the unhashable array
+    op = SymOp(np.eye(2), LINEAR_ANTICOMMUTE)
+    twin = SymOp(np.eye(2), LINEAR_ANTICOMMUTE)
+    assert op in [twin, op] and op not in [twin]
+    assert op != twin
+    assert {op: 1}[op] == 1 and len({op, twin}) == 2
+
+
 def test_symop_keeps_a_read_only_copy():
     # emptying the caller's array once made the operator zero after its
     # zero test, and check([[0, 1], [2, 0]], op) a false 0.0
@@ -273,7 +284,7 @@ _entry = st.complex_numbers(min_magnitude=0, max_magnitude=2,
                             allow_nan=False, allow_infinity=False)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(arrays(np.complex128, (4, 4), elements=_entry))
 def test_sa_split_reconstructs(H):
     S, A = symmetry.sa_split(H)
@@ -507,7 +518,7 @@ def _in_span(ops, others):
     return worst
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
            st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
                     min_size=n, max_size=n),
