@@ -196,7 +196,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    proto = spectra.protocol(args.fig)
+    proto = spectra.PROTOCOLS[args.fig]
     result = spectra.sweep(proto.matrix_at, proto.lo, proto.hi,
                            n_steps=args.steps)
     worst = {axis: max(spectra.reflection_defect(step.eigenvalues, axis)
@@ -234,7 +234,7 @@ def cmd_ep(args) -> int:
         family = spectra.jordan2
         name = "jordan2"
     else:
-        proto = spectra.protocol(args.fig)
+        proto = spectra.PROTOCOLS[args.fig]
         family = proto.matrix_at
         name = f"fig {proto.tag} ({proto.param_name})"
     report = spectra.ep_locate(family, args.bracket, target=args.target,

@@ -93,16 +93,8 @@ def gamma(label) -> np.ndarray:
 
 
 def _parse_factors(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if text == "1":
-        return ()
-    factors = []
-    for piece in text.split("*"):
-        m = re.fullmatch(r"\s*g([01235])\s*", piece)
-        if m is None:
-            raise ValueError(f"bad generator factor {piece!r} in {text!r}")
-        factors.append(int(m.group(1)))
-    return tuple(factors)
+    """The indices of a product that ``_TERM_RE`` admitted (``1``: none)."""
+    return tuple(map(int, re.findall(_FACTOR, text)))
 
 
 def _read_complex(text: str) -> complex:
@@ -155,12 +147,16 @@ class GammaExpr:
         return format_expr(self)
 
 
-# one term: optional sign, coefficient in parentheses, optional * factors;
-# or a bare factor product with implicit coefficient 1
+# one generator factor, capturing its index
+_FACTOR = rf"g([{''.join(map(str, INDICES))}])"
+# factors joined by *, or the identity 1
+_PRODUCT = rf"{_FACTOR}(?:\s*\*\s*{_FACTOR})*|1"
+# one term: optional sign, coefficient in parentheses, optional * product;
+# or a bare product with implicit coefficient 1
 _TERM_RE = re.compile(
     r"\s*(?P<sign>[+-]?)\s*"
-    r"(?:\((?P<coeff>[^()]*)\)\s*(?:\*\s*(?P<factors>g[01235](?:\s*\*\s*g[01235])*|1))?"
-    r"|(?P<bare>g[01235](?:\s*\*\s*g[01235])*|1))"
+    rf"(?:\((?P<coeff>[^()]*)\)\s*(?:\*\s*(?P<factors>{_PRODUCT}))?"
+    rf"|(?P<bare>{_PRODUCT}))"
 )
 
 

@@ -117,14 +117,11 @@ def _fro_norm(A: np.ndarray):
     where needed on the matrix rescaled as :func:`_unit_scaled` does, so
     that no square overflows or underflows (``np.linalg.norm`` is inf
     above about 1e154).  Bit for bit ``np.linalg.norm`` of each matrix
-    wherever no square overflows or underflows: a stack is summed in its
+    wherever no square overflows or underflows: each matrix is summed in its
     order, a dot product of the real parts plus one of the imaginary
     parts."""
     if A.ndim == 2:
-        factor, ok = _unit_factors(A)
-        if not ok:
-            return float(np.linalg.norm(A))
-        return float(np.linalg.norm(A * factor)) / float(factor)
+        return float(_fro_norm(A[None])[0])
     # a matrix whose peak lies within 2**+-400 has a squared sum far from
     # overflow, and a square that underflows lies far below that sum's
     # rounding; only a stack with another nonzero peak is rescaled

@@ -86,10 +86,16 @@ class Model:
                     f"coupling ({i}, {j}) stays inside sublattice {lab[i]}; "
                     "flag the model non_bipartite if intended"
                 )
+        # a bare string would otherwise split into one-character hints
+        hints = tuple(self.symmetry_hints)
+        if (isinstance(self.symmetry_hints, str)
+                or not all(isinstance(h, str) for h in hints)):
+            raise ValueError("symmetry_hints must be a sequence of str, got "
+                             f"{self.symmetry_hints!r}")
         H.flags.writeable = False
         object.__setattr__(self, "matrix", H)
         object.__setattr__(self, "sublattice", labels)
-        object.__setattr__(self, "symmetry_hints", tuple(self.symmetry_hints))
+        object.__setattr__(self, "symmetry_hints", hints)
 
     @property
     def n_sites(self) -> int:

@@ -2,10 +2,10 @@
 
 Tools to classify a spectrum's reflection symmetries (through the origin,
 the real axis, the imaginary axis), extract exact and imaginary-axis zero
-modes, locate exceptional points in one-parameter families by bisecting on
-eigenvalue coalescence, sweep a parameter while tracking eigenvalue
-trajectories by continuity, and resolve a mode's intensity pattern over
-labeled sites.
+modes, locate exceptional points in one-parameter families by a 41-point
+scan of eigenvalue coalescence refined by golden-section search, sweep a
+parameter while tracking eigenvalue trajectories by continuity, and
+resolve a mode's intensity pattern over labeled sites.
 """
 
 from __future__ import annotations
@@ -469,22 +469,3 @@ PROTOCOLS = {p.tag: p for p in (
              lambda d: model_mod.mirror_chain(d),
              tuple(REFLECTIONS)),
 )}
-
-
-def protocol(tag: str) -> Protocol:
-    """Named sweep protocols for the bundled models (``PROTOCOLS``).
-
-    ========  ==========================================================
-    tag       family
-    ========  ==========================================================
-    1b        gain/loss flake, g = 1, tau in [0, 2]
-    2b        wheel, beta = 0.75, g1 = 1 + i s, g2 = 1.5 + i s, s in [0, 2]
-    2c        same wheel with beta = 0.75 - 0.1i (origin symmetry only)
-    4c        chiral pyramid with detuning a e^{i pi/4} g3*g5, a in [0, 2]
-    4d        as 4c plus a e^{i pi/3} g1*g2
-    5b        mirror chain, delta in [0, |coupling|]
-    ========  ==========================================================
-    """
-    if tag not in PROTOCOLS:
-        raise ValueError(f"unknown protocol tag {tag!r}")
-    return PROTOCOLS[tag]

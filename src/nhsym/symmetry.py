@@ -378,12 +378,16 @@ def discover(H, relation: str, basis=None, labels=None,
     H = _unit_scaled(_as_square(H))
     n = H.shape[0]
     if labels is not None:
-        if basis is None or len(labels) != len(basis):
+        if (basis is None or not hasattr(labels, "__len__")
+                or len(labels) != len(basis)):
             raise ValueError("labels need a basis, one label per element")
         # a label names its element's coefficient as printed, so a product
         # in another factor order would print it with the wrong sign; an
         # index such as 0.0 or np.int64(0) is read as the int it equals
-        labels = tuple(_PRODUCTS.get(tuple(l)) for l in labels)
+        try:
+            labels = tuple(_PRODUCTS.get(tuple(l)) for l in labels)
+        except TypeError:  # a label that is no sequence of hashable indices
+            labels = (None,)
         if None in labels or len(set(labels)) < len(labels):
             raise ValueError("labels must be distinct canonical products, "
                              "strictly ascending tuples of clifford.INDICES")

@@ -102,7 +102,7 @@ def test_criterion_03_flake_zero_mode_and_coalescence():
 
 def test_criterion_04_wheel_protocols_and_hidden_partner():
     with _gate(4, "wheel sweeps; chiral product survives complex offset"):
-        proto = spectra.protocol("2b")
+        proto = spectra.PROTOCOLS["2b"]
         result = spectra.sweep(proto.matrix_at, proto.lo, proto.hi,
                                n_steps=400)
         for step in result.steps:
@@ -111,7 +111,7 @@ def test_criterion_04_wheel_protocols_and_hidden_partner():
             assert cls.real_axis <= 1e-8
             assert cls.imag_axis <= 1e-8
 
-        proto = spectra.protocol("2c")
+        proto = spectra.PROTOCOLS["2c"]
         result = spectra.sweep(proto.matrix_at, proto.lo, proto.hi,
                                n_steps=400)
         reals, imags = [], []
@@ -174,7 +174,7 @@ def test_criterion_05_pyramid_detuning():
             assert symmetry.check(Hd, op) <= 1e-10
 
         for tag in ("4c", "4d"):
-            proto = spectra.protocol(tag)
+            proto = spectra.PROTOCOLS[tag]
             result = spectra.sweep(proto.matrix_at, proto.lo, proto.hi,
                                    n_steps=400)
             for step in result.steps:
@@ -197,7 +197,7 @@ def test_criterion_06_detuned_mirror_chain():
         eta = symmetry.named_operator(m, "pseudo:parity*sublattice")
         assert symmetry.check(H, eta) <= 1e-10
 
-        proto = spectra.protocol("5b")
+        proto = spectra.PROTOCOLS["5b"]
         result = spectra.sweep(proto.matrix_at, proto.lo, proto.hi,
                                n_steps=400)
         for step in result.steps:

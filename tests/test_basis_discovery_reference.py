@@ -132,7 +132,10 @@ def test_two_label_lists_on_one_basis_give_their_own_labels(monkeypatch):
     bad = {"reversed": [l[::-1] for l in plain],
            "duplicate": plain[:-1] + [plain[1]],
            "non-index": plain[:-1] + [(4,)],
-           "not a tuple of indices": plain[:-1] + ["g0"]}
+           "not a tuple of indices": plain[:-1] + ["g0"],
+           "an index for a tuple": [0] + plain[1:],
+           "an unhashable index": [([0],)] + plain[1:],
+           "no sequence": (l for l in plain)}
     for labels in bad.values():
         with pytest.raises(ValueError, match="labels"):
             symmetry.discover(H, "chiral", basis=clifford.basis16(),

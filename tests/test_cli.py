@@ -330,11 +330,17 @@ def _failed_verification(H, kind, mats):
     return np.ones(len(mats))
 
 
+def _failed_lapack(H):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
 @pytest.mark.parametrize("argv, module, name, fake", [
     (["ep", "--family", "jordan2", "--bracket", "-0.1", "0.1"],
      spectra, "eig", _failed_eig),
     (["check", "--preset", "dirac4a", "--discover", "chiral"],
      symmetry, "_residuals", _failed_verification),
+    (["ep", "--family", "jordan2", "--bracket", "-0.1", "0.1"],
+     np.linalg, "eig", _failed_lapack),
 ])
 def test_numerical_failure_exits_three(capsys, monkeypatch, argv, module,
                                        name, fake):
@@ -420,6 +426,12 @@ def test_unreadable_number_exits_two(capsys, argv, name):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert f"argument {name}: bad number 'x'" in err
+
+
+def test_unreadable_complex_number_exits_two(capsys):
+    code, _, err = run(capsys, "check", "--preset", "dirac4a", "--g1", "x")
+    assert code == 2
+    assert "argument --g1: bad complex number 'x'" in err
 
 
 @pytest.mark.parametrize("argv, dest, value", [

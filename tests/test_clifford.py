@@ -103,6 +103,16 @@ def test_parse_expr_errors_report_position():
     # "inf" is not read as "jnf"
     with pytest.raises(ValueError, match="position 0: .*finite"):
         clifford.parse_expr("(inf+0i)*g1")
+    # a factor outside INDICES fails the term pattern itself
+    with pytest.raises(ValueError) as info:
+        clifford.parse_expr("g4")
+    assert str(info.value) == "bad expression at position 0: 'g4'"
+
+
+def test_parse_expr_ignores_trailing_blanks():
+    assert clifford.parse_expr("g0 ") == clifford.parse_expr("g0")
+    assert (clifford.parse_expr("(2)*g1 * g3 \t")
+            == clifford.parse_expr("(2)*g1*g3"))
 
 
 def test_expr_arithmetic():

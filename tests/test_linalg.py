@@ -99,6 +99,16 @@ def test_eig_validation():
         linalg.eig(np.zeros((300, 300)))
 
 
+def test_eig_reports_a_failed_decomposition(monkeypatch):
+    def fail(H):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eig", fail)
+    with pytest.raises(linalg.ConvergenceError,
+                       match="eigendecomposition failed") as info:
+        linalg.eig(np.eye(2))
+    assert info.value.residual == np.inf
+
+
 def test_nullspace_known_kernel():
     # rank-1 matrix on C^3: kernel dimension 2
     u = np.array([1.0, 2.0, -1.0])

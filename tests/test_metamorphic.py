@@ -5,8 +5,8 @@ relation onto that of the transformed matrix, a relabelling of the sites
 keeps every discovered dimension and spectrum verdict, and the two
 discovery kernels (spectral, and dense over a caller's basis) answer one
 question.  Across layers: the product rule maps the solution spaces of
-two relations onto that of a third, and every declared operator that
-passes its check lies in the space discovered for its relation.
+two relations onto that of a third, and every declared operator passes
+its check and lies in the space discovered for its relation.
 """
 
 import itertools
@@ -170,6 +170,33 @@ _CROSS_MODELS = tuple(
 _CROSS_IDS = [f"{i}-{m.name}" for i, m in enumerate(_CROSS_MODELS)]
 
 
+def _seeded_presets(seed):
+    """Each CLI preset on three seeded parameter sets, given as CLI text
+    to three decimals."""
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        z = rng.normal(size=(4, 2)).round(3)
+        params = ([f"--{name}={a}{b:+}i" for name, (a, b)
+                   in zip(("g1", "g2", "g3", "beta"), z)]
+                  + [f"--g={rng.uniform(0.5, 2):.3f}",
+                     f"--tau={rng.uniform(0, 2):.3f}",
+                     f"--delta={rng.uniform(0, 1):.3f}"])
+        for name, build in cli.PRESETS.items():
+            yield build(_PARSER.parse_args(["check", "--preset", name]
+                                           + params))
+
+
+# (model, bound on an operator's relative distance from its discovered
+# span): 1e-13 on the models above; discovery's own tolerance on the
+# seeded ones, where the spectral path holds the span only to about that
+# (1.6e-10 on the flake near its Hermitian limit, tau = 0.002, at one of
+# 40 seeds of these sets)
+_DECLARING = (
+    [pytest.param(m, 1e-13, id=i) for m, i in zip(_CROSS_MODELS, _CROSS_IDS)]
+    + [pytest.param(m, symmetry.DISCOVER_TOL, id=f"seeded-{i}-{m.name}")
+       for i, m in enumerate(_seeded_presets(17))])
+
+
 def _spaces(H):
     return {kind: symmetry.discover(H, rel.discover_name)
             for kind, rel in RELATIONS.items()}
@@ -251,14 +278,13 @@ def test_product_spans_the_third_space(m):
         assert _distance(P, Q) <= 1e-13, (kind_x, kind_y)
 
 
-@pytest.mark.parametrize("m", _CROSS_MODELS, ids=_CROSS_IDS)
-def test_declared_operators_lie_in_the_discovered_space(m):
+@pytest.mark.parametrize("m, bound", _DECLARING)
+def test_declared_operators_lie_in_the_discovered_space(m, bound):
     H = model.to_matrix(m)
     spaces = _spaces(H)
     for hint in m.symmetry_hints:
         op = symmetry.named_operator(m, hint)
-        if not symmetry.check(H, op) <= symmetry.PASS_TOL:
-            continue
+        assert symmetry.check(H, op) <= symmetry.PASS_TOL, hint
         v = op.matrix.ravel()
         Q = _span_basis([s.matrix for s in spaces[op.kind]])
-        assert _distance(Q, v) <= 1e-13 * np.linalg.norm(v), hint
+        assert _distance(Q, v) <= bound * np.linalg.norm(v), hint

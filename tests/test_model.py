@@ -274,6 +274,17 @@ def test_model_validation():
         model.Model("m", hop, ("A", "C"))
 
 
+def test_model_refuses_hints_that_are_not_strings():
+    hop = [[0, 1], [1, 0]]
+    for hints in ("chiral:sublattice", ["chiral:sublattice", 1],
+                  (("chiral:g0",),)):
+        with pytest.raises(ValueError, match="symmetry_hints"):
+            model.Model("x", hop, ("A", "B"), symmetry_hints=hints)
+    m = model.Model("x", hop, ("A", "B"),
+                    symmetry_hints=iter(["chiral:sublattice"]))
+    assert m.symmetry_hints == ("chiral:sublattice",)
+
+
 def test_model_keeps_a_read_only_copy():
     H = np.array([[0.5, 1.0], [1.0, -0.5j]])
     m = model.Model("m", H, ("A", "B"))

@@ -345,18 +345,18 @@ def test_mode_profile_missing_value():
 
 def test_protocol_tags():
     for tag in ("1b", "2b", "2c", "4c", "4d", "5b"):
-        proto = spectra.protocol(tag)
+        proto = spectra.PROTOCOLS[tag]
         assert proto.tag == tag
         assert proto.lo < proto.hi
         H = proto.matrix_at(proto.lo + 0.3 * (proto.hi - proto.lo))
         assert H.shape[0] == H.shape[1]
         assert "origin" in proto.symmetric
-    with pytest.raises(ValueError):
-        spectra.protocol("9z")
+    with pytest.raises(KeyError, match="9z"):
+        spectra.PROTOCOLS["9z"]
 
 
 def test_protocol_2c_breaks_axes_somewhere():
-    proto = spectra.protocol("2c")
+    proto = spectra.PROTOCOLS["2c"]
     reals, imags = [], []
     for s in np.linspace(proto.lo, proto.hi, 41):
         cls = spectra.classify_spectrum(eig(proto.matrix_at(s)).values)
@@ -370,7 +370,7 @@ def test_protocol_2c_breaks_axes_somewhere():
 
 
 def test_protocol_5b_range():
-    proto = spectra.protocol("5b")
+    proto = spectra.PROTOCOLS["5b"]
     assert proto.hi == pytest.approx(abs(model.CHAIN_COUPLING))
 
 
