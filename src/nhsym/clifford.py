@@ -13,6 +13,7 @@ operator's own.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -30,6 +31,12 @@ _S0 = np.eye(2, dtype=complex)
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+
+# each of the 32 canonical products to its name in an expression, the
+# identity first, then by length and indices
+PRODUCT_NAMES = {p: "*".join([f"g{i}" for i in p]) or "1"
+                 for k in range(len(INDICES) + 1)
+                 for p in itertools.combinations(INDICES, k)}
 
 _GENERATORS = {
     0: np.kron(_SZ, _S0),
@@ -208,13 +215,9 @@ def _parse_coefficient(body: str, pos: int) -> complex:
 
 def format_expr(e: GammaExpr) -> str:
     """Render an expression in the same grammar parse_expr accepts."""
-    parts = [f"({_format_complex(coeff)})*{_product_name(indices)}"
+    parts = [f"({_format_complex(coeff)})*{PRODUCT_NAMES[indices]}"
              for indices, coeff in e.terms]
     return " + ".join(parts) if parts else "(0+0i)"
-
-
-def _product_name(indices: tuple[int, ...]) -> str:
-    return "*".join([f"g{i}" for i in indices]) if indices else "1"
 
 
 def expr_to_matrix(e) -> np.ndarray:
@@ -224,10 +227,8 @@ def expr_to_matrix(e) -> np.ndarray:
     return e.to_matrix()
 
 
-_BASIS16_LABELS = (((),)
-                   + tuple((i,) for i in INDICES)
-                   + tuple((INDICES[a], INDICES[b])
-                           for a in range(5) for b in range(a + 1, 5)))
+# the identity, the 5 generators and their 10 pairs
+_BASIS16_LABELS = tuple(PRODUCT_NAMES)[:16]
 _BASIS16 = np.array([gamma(l) for l in _BASIS16_LABELS])
 _BASIS16.flags.writeable = False
 

@@ -165,6 +165,11 @@ def eig(H) -> EigenSystem:
         w, vr = np.linalg.eig(H)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition failed: {exc}", np.inf) from exc
+    # LAPACK may overflow to an infinite eigenvalue of a finite H, whose
+    # residual would be NaN
+    if not np.isfinite(w).all():
+        raise ConvergenceError("eigendecomposition returned non-finite "
+                               "eigenvalues", np.inf)
     # a stable sort, so ties keep LAPACK's order
     order = np.lexsort((w.imag, w.real))
     w, right = w[order], vr[:, order]
@@ -175,7 +180,7 @@ def eig(H) -> EigenSystem:
     Hf = H * f
     residuals = np.linalg.norm(Hf @ right - right * (w * f), axis=0) / f
     worst = float(residuals.max()) if w.size else 0.0
-    if worst > TOL_EIG * max(float(np.linalg.norm(Hf)) / f, 1e-300):
+    if not worst <= TOL_EIG * max(float(np.linalg.norm(Hf)) / f, 1e-300):
         raise ConvergenceError("eigenpair residual bound violated", worst)
     return EigenSystem(w, right, residuals)
 

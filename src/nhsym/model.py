@@ -333,6 +333,8 @@ def bipartite_pseudo(T, D_A, D_B, name: str = "bipartite_pseudo",
         Complex coupling block, shape (n_A, n_B).
     D_A, D_B : array_like
         Real detuning vectors; the on-site potentials are purely imaginary.
+    extra_hints : sequence of str
+        Hints recorded after the sublattice one; a bare string is refused.
 
     Returns
     -------
@@ -341,6 +343,10 @@ def bipartite_pseudo(T, D_A, D_B, name: str = "bipartite_pseudo",
         C = P_A - P_B always satisfies ``C @ H^dagger @ inv(C) = -H``,
         recorded as the ``antipseudo:sublattice`` hint.
     """
+    # a bare string would be split into one-character hints
+    if isinstance(extra_hints, str):
+        raise ValueError("extra_hints must be a sequence of str, got "
+                         f"{extra_hints!r}")
     T = np.asarray(T, dtype=complex)
     if T.ndim != 2:
         raise ValueError(f"T must be 2-d, got shape {T.shape}")

@@ -194,7 +194,8 @@ def ep_locate(family: Callable[[float], np.ndarray], bracket,
             if not lo < x2 < hi:
                 break
             f2 = spread(x2)[0]
-    p_hat = float((lo + hi) / 2.0)
+    # halved first, so that the sum cannot overflow near the float limit
+    p_hat = float(lo / 2.0 + hi / 2.0)
     s_hat, H, vals = spread(p_hat)
     if s_hat > found_tol:
         return EPReport(False, p_hat, None, 0, 0, 0, s_hat)

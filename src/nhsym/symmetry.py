@@ -47,7 +47,6 @@ pair underlies a transpose-type symmetry.
 from __future__ import annotations
 
 import functools
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -127,8 +126,7 @@ SPECTRAL_COND_MAX = 1e6
 DENSE_KERNEL_MAX_N = 32
 # the labels discover accepts, each to itself: the canonical generator
 # products, strictly ascending tuples of int indices
-_PRODUCTS = {p: p for k in range(len(clifford.INDICES) + 1)
-             for p in itertools.combinations(clifford.INDICES, k)}
+_PRODUCTS = {p: p for p in clifford.PRODUCT_NAMES}
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,11 +135,15 @@ class SymOp:
 
     Operators compare and hash by identity; compare ``matrix`` and
     ``kind`` to compare operators.  The matrix is kept as a read-only
-    complex copy of the one passed.  It must not be zero: every relation
-    holds for it, so it would pass any check.  Operators of transpose or
-    dagger kind must be invertible (condition number at most
-    ``COND_MAX``) unless constructed with ``allow_singular=True``, in which
-    case only the inverse-free form of their relation is meaningful.
+    complex copy of the one passed; the operators :func:`discover`
+    returns share one read-only stack instead, one matrix each.  Either
+    way no array of the caller's is the operator's storage, and the
+    matrix cannot be made writeable again.  It must not be zero: every
+    relation holds for it, so it would pass any check.  Operators of
+    transpose or dagger kind must be invertible (condition number at most
+    ``COND_MAX``) unless constructed with ``allow_singular=True``, in
+    which case only the inverse-free form of their relation is
+    meaningful.
     """
 
     matrix: np.ndarray
@@ -150,22 +152,57 @@ class SymOp:
     allow_singular: bool = False
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown relation kind {self.kind!r}")
-        # a copy, so that the caller cannot change the checked operator
-        M = _as_square(self.matrix, "operator").copy()
-        M.flags.writeable = False
-        if not M.any():
-            raise ValueError("operator is zero, so every relation holds for it")
-        object.__setattr__(self, "matrix", M)
-        # the transpose and dagger relations conjugate by the inverse
-        if RELATIONS[self.kind].transpose and not self.allow_singular:
-            cond = np.linalg.cond(M)
-            if not cond <= COND_MAX:
-                raise ValueError(
-                    f"{self.kind} operator is singular or badly conditioned "
-                    f"(cond {cond:.3g}); pass allow_singular=True to keep it"
-                )
+        # a one-matrix stack of its own, so that the caller cannot change
+        # the checked operator
+        stack = _operator_storage(np.array([self.matrix], dtype=complex),
+                                  self.kind, self.allow_singular)
+        object.__setattr__(self, "matrix", stack[0])
+
+
+def _operator_storage(mats: np.ndarray, kind: str,
+                      allow_singular: bool) -> np.ndarray:
+    """The complex stack ``mats``, made read-only, once each of its
+    matrices has passed :class:`SymOp`'s checks for ``kind``.  A matrix
+    taken from it cannot be made writeable again."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown relation kind {kind!r}")
+    shape = mats.shape[1:]
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"operator must be square, got shape {shape}")
+    if shape[0] > MAX_DENSE:
+        raise ValueError(
+            f"operator exceeds the dense cap ({shape[0]} > {MAX_DENSE})")
+    if not np.isfinite(mats).all():
+        raise ValueError("operator has non-finite entries")
+    if not mats.any(axis=(1, 2)).all():
+        raise ValueError("operator is zero, so every relation holds for it")
+    # the transpose and dagger relations conjugate by the inverse
+    if RELATIONS[kind].transpose and not allow_singular:
+        cond = np.linalg.cond(mats)
+        bad = np.flatnonzero(~(cond <= COND_MAX))
+        if bad.size:
+            raise ValueError(
+                f"{kind} operator is singular or badly conditioned "
+                f"(cond {cond[bad[0]]:.3g}); pass allow_singular=True to keep it"
+            )
+    mats.flags.writeable = False
+    return mats
+
+
+def _stacked_operators(mats: np.ndarray, kind: str,
+                       labels) -> list[SymOp]:
+    """Discovery's solutions, the complex (k, n, n) stack ``mats`` it has
+    just built, as k operators of ``kind`` with these labels, allowed to
+    be singular.  The stack is checked once and, read-only, becomes the
+    storage of every operator, so no matrix is checked or copied again."""
+    ops = []
+    for M, label in zip(_operator_storage(mats, kind, True), labels):
+        op = object.__new__(SymOp)
+        # SymOp's own fields, as __init__ would set them
+        vars(op).update(matrix=M, kind=kind, label=label,
+                        allow_singular=True)
+        ops.append(op)
+    return ops
 
 
 def _residuals(H: np.ndarray, kind: str, mats: np.ndarray) -> np.ndarray:
@@ -173,9 +210,13 @@ def _residuals(H: np.ndarray, kind: str, mats: np.ndarray) -> np.ndarray:
     stack ``mats`` as an operator of ``kind``.  H must already be
     :func:`_unit_scaled`.  Not finite where H has non-finite entries."""
     M = _unit_scaled(mats)
-    denom = _fro_norm(H) * _fro_norm(M)
-    return np.divide(_fro_norm(RELATIONS[kind].residual(H, M)), denom,
-                     out=np.zeros(len(M)), where=denom != 0)
+    k = len(M)
+    # the norms of H, of each operator and of each residual in one pass
+    norms = _fro_norm(np.concatenate(
+        (H[None], M, RELATIONS[kind].residual(H, M))))
+    denom = norms[0] * norms[1:k + 1]
+    return np.divide(norms[k + 1:], denom, out=np.zeros(k),
+                     where=denom != 0)
 
 
 def check(H, op: SymOp) -> float:
@@ -357,7 +398,8 @@ def discover(H, relation: str, basis=None, labels=None,
     list of SymOp
         A basis of the solution space, each scaled so its largest
         coefficient (its largest entry, without a basis) is 1; the length
-        is the space's dimension.
+        is the space's dimension.  The operators share one read-only
+        (k, n, n) stack, each ``matrix`` a view of its own entry.
 
     Raises
     ------
@@ -455,7 +497,7 @@ def _eigen_dyads(H, kind: str, tol: float) -> list[SymOp] | None:
     # both pivots become 1, so each dyad's largest entry is 1
     X = (_pivot_normalized(V.T[i])[:, :, None]
          * _pivot_normalized(U[j])[:, None, :])
-    return [SymOp(x, kind, allow_singular=True) for x in X]
+    return _stacked_operators(X, kind, [""] * len(X))
 
 
 def _dyad_bounds(H, rel: Relation, lam, V, U, i, j) -> np.ndarray:
@@ -504,12 +546,12 @@ def _dense_kernel(H, kind: str, mats: np.ndarray, labels,
     # loop bit for bit; an inexact complex product may round otherwise
     sols = np.einsum("sa,aij->sij", coeffs, mats)
     r = _residuals(H, kind, sols)
-    failed = np.flatnonzero(~(r <= tol))
-    if failed.size:
+    passed = r <= tol
+    if not passed.all():
         raise RuntimeError(f"discovered operator fails its relation "
-                           f"({r[failed[0]]:.3g} > {tol:g})")
-    return [SymOp(M, kind, label=_coefficient_label(c, labels),
-                  allow_singular=True) for M, c in zip(sols, coeffs)]
+                           f"({r[~passed][0]:.3g} > {tol:g})")
+    return _stacked_operators(
+        sols, kind, [_coefficient_label(c, labels) for c in coeffs])
 
 
 def _coefficient_label(c, labels) -> str:

@@ -187,6 +187,17 @@ def test_ep_at_huge_parameters_is_a_negative(capsys):
     assert err == ""
 
 
+def test_ep_eigenvalue_overflow_is_a_numerical_failure(capsys):
+    # LAPACK returns infinite eigenvalues for this finite matrix; they were
+    # accepted with NaN residuals, and the overflowing midpoint of the
+    # bracket was then blamed on the model, with exit 2
+    code, out, err = run(capsys, "ep", "--fig", "2b",
+                         "--bracket", "1e308", "1.5e308")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: numerical failure: ")
+    assert "non-finite eigenvalues" in err
+
+
 def test_sweep_writes_deterministic_outputs(capsys, tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

@@ -16,6 +16,18 @@ def test_eig_orders_by_real_then_imag():
     assert_allclose(system.values, [-1.0, 0.0, 2.0, 2.0 + 1j], atol=1e-12)
 
 
+def test_eig_refuses_infinite_eigenvalues_of_a_finite_matrix():
+    # two eigenvalues of this finite matrix lie beyond the float range, so
+    # LAPACK returns them infinite; their NaN residuals used to pass the
+    # bound, since nan > bound is False
+    H = spectra.PROTOCOLS["2b"].matrix_at(1.25e308)
+    assert np.isfinite(H).all()
+    assert not np.isfinite(np.linalg.eig(H)[0]).all()
+    with pytest.raises(linalg.ConvergenceError,
+                       match="non-finite eigenvalues"):
+        linalg.eig(H)
+
+
 def test_eig_right_and_left_residuals():
     rng = np.random.default_rng(0)
     H = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))

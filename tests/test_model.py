@@ -425,13 +425,17 @@ def test_load_model_comments_and_labels(tmp_path):
      r"T must be 2-d, got shape \(2,\)"),
     (lambda: model.bipartite_pseudo(np.ones((2, 3)), [0.0, 0.1], [0.2]),
      r"detuning shapes \(2,\), \(1,\) do not match T \(2, 3\)"),
+    (lambda: model.bipartite_pseudo(np.ones((1, 1)), [0.0], [0.0],
+                                    extra_hints="rt:parity"),
+     r"extra_hints must be a sequence of str, got 'rt:parity'"),
     (lambda: model.flake_mirror(4), r"mirror index must be 1, 2 or 3, got 4"),
     (lambda: model.pyramid("hidden", 1.0, 0.5, 0.8),
      r"variant must be 'nochiral' or 'chiral', got 'hidden'"),
     (lambda: model.lattice_operator(model.pyramid("chiral", 1.0, 0.5, 0.8),
                                     "sublattice"),
      r"model 'pyramid_chiral' has unlabeled sites"),
-], ids=["bipartite-1d-T", "bipartite-detunings", "flake_mirror-4",
+], ids=["bipartite-1d-T", "bipartite-detunings", "bipartite-string-hints",
+        "flake_mirror-4",
         "pyramid-variant", "lattice_operator-unlabeled"])
 def test_refusals_name_their_cause(call, message):
     with pytest.raises(ValueError, match=message):

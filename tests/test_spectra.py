@@ -136,6 +136,14 @@ def test_ep_param_tol_below_float_spacing_returns(monkeypatch):
     assert rep.parameter == pytest.approx(0.5)
 
 
+def test_ep_midpoint_near_the_float_limit_is_finite():
+    # lo + hi overflowed for a bracket above half the largest float
+    jordan = np.array([[0.0, 1.0], [0.0, 0.0]])
+    rep = spectra.ep_locate(lambda p: jordan, (1e308, 1.7e308))
+    assert rep.found and rep.order == 2
+    assert 1e308 <= rep.parameter <= 1.7e308
+
+
 def test_ep_zero_family_counts_every_eigenvalue():
     # the cluster radius max(5 * spread, TOL_CLUSTER * ||H||_F) is 0 there;
     # the report matches that of the scalar family p * I

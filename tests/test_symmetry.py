@@ -209,6 +209,97 @@ def test_symop_validation():
     SymOp(singular, LINEAR_ANTICOMMUTE)
 
 
+@pytest.mark.parametrize("matrix, kind, message", [
+    (np.zeros((2, 2)), LINEAR_ANTICOMMUTE,
+     "operator is zero, so every relation holds for it"),
+    (np.array([[1.0, np.nan], [0.0, 1.0]]), LINEAR_ANTICOMMUTE,
+     "operator has non-finite entries"),
+    (np.full((2, 2), -np.inf), DAGGER_PLUS, "operator has non-finite entries"),
+    (np.zeros((2, 3)), LINEAR_ANTICOMMUTE,
+     "operator must be square, got shape (2, 3)"),
+    (np.ones(3), LINEAR_ANTICOMMUTE, "operator must be square, got shape (3,)"),
+    (np.eye(257), LINEAR_ANTICOMMUTE,
+     "operator exceeds the dense cap (257 > 256)"),
+    (np.eye(2), "mystery", "unknown relation kind 'mystery'"),
+    (np.diag([1.0, 0.0]), TRANSPOSE_MINUS,
+     "transpose_minus operator is singular or badly conditioned (cond inf); "
+     "pass allow_singular=True to keep it"),
+], ids=["zero", "nan", "inf", "shape", "1-d", "cap", "kind", "singular"])
+def test_symop_refusal_messages(matrix, kind, message):
+    with pytest.raises(ValueError) as exc:
+        SymOp(matrix, kind)
+    assert str(exc.value) == message
+
+
+def test_symop_matrix_cannot_be_made_writeable_again():
+    op = SymOp(np.eye(2), LINEAR_ANTICOMMUTE)
+    with pytest.raises(ValueError):
+        op.matrix.flags.writeable = True
+    assert not op.matrix.flags.writeable
+
+
+def _discovered(path):
+    """(H, basis or None, operators) of one discovery kernel."""
+    if path == "spectral":
+        H = model.to_matrix(model.honeycomb_flake(1.0, 0.5))
+        ops = symmetry.discover(H, "chiral")
+        return H, None, ops
+    if path == "basis16":
+        H = model.to_matrix(model.dirac4("a", 1 + 0.2j, 0.5))
+        basis = clifford.basis16()
+        ops = symmetry.discover(H, "chiral", basis=basis,
+                                labels=clifford.basis16_labels())
+        return H, basis, ops
+    # a Jordan block is defective: the dense kernel over the unit matrices
+    H = np.diag(np.ones(3), 1) + 0.25j * np.eye(4)
+    return H, None, symmetry.discover(H, "nhph")
+
+
+@pytest.mark.parametrize("path", ["spectral", "basis16", "unit matrices"])
+def test_discovered_operators_share_one_read_only_stack(path):
+    H, basis, ops = _discovered(path)
+    assert len(ops) > 1
+    stack = ops[0].matrix.base
+    kept = [op.matrix.copy() for op in ops]
+    for op in ops:
+        assert op.matrix.base is stack and op.matrix.shape == H.shape
+        assert not stack.flags.writeable and not op.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            op.matrix.flags.writeable = True
+        with pytest.raises(ValueError, match="read-only"):
+            op.matrix[0, 0] = 0
+    # the caller's inputs are not the operators' storage
+    H[:] = 0
+    for b in basis or ():
+        b[:] = 0
+    for op, want in zip(ops, kept):
+        assert op.matrix.tobytes() == want.tobytes()
+
+
+def test_check_is_the_direct_norm_formula_bit_for_bit():
+    # check rescales H and the operator by powers of two and takes every
+    # norm in one stacked pass; at ordinary scale neither changes a bit
+    # of ||H M - M B|| / (||H|| ||M||)
+    rng = np.random.default_rng(30)
+    right = {LINEAR_ANTICOMMUTE: lambda H: -H,
+             ANTILINEAR_ANTICOMMUTE: lambda H: -H.conj(),
+             ANTILINEAR_COMMUTE: lambda H: H.conj(),
+             TRANSPOSE_MINUS: lambda H: -H.T,
+             DAGGER_PLUS: lambda H: H.conj().T,
+             DAGGER_MINUS: lambda H: -H.conj().T}
+    assert set(right) == set(symmetry.KINDS)
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        scale_h, scale_m = 10.0 ** rng.uniform(-3, 3, 2)
+        H = scale_h * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        M = scale_m * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        for kind, B in right.items():
+            R = H @ M - M @ B(H)
+            want = np.linalg.norm(R) / (np.linalg.norm(H) * np.linalg.norm(M))
+            got = check(H, SymOp(M, kind, allow_singular=True))
+            assert got == want, (kind, n)
+
+
 # --- products -------------------------------------------------------------
 
 def test_product_of_rt_and_nhph_is_chiral_on_flake():
