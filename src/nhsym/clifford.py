@@ -246,14 +246,6 @@ def basis16() -> list[np.ndarray]:
     return list(_BASIS16.copy())
 
 
-def expand_in_basis16(M) -> np.ndarray:
-    """Coefficients of a 4x4 matrix in the 16-product basis."""
-    M = np.asarray(M, dtype=complex)
-    if M.shape != (4, 4):
-        raise ValueError(f"need a 4x4 matrix, got shape {M.shape}")
-    return np.linalg.solve(_BASIS16.reshape(16, -1).T, M.reshape(-1))
-
-
 def verify_clifford() -> list[str]:
     """Check the defining relations of the generator set exactly.
 

@@ -124,15 +124,12 @@ FLAKE_EDGES = (
 FLAKE_GAIN = (1, 3, 5)
 FLAKE_LOSS = (2, 4, 6)
 
-# Reflections about the three symmetry axes, ordered so the threefold
-# rotation cycles them: mirror(j+1) = rotation @ mirror(j) as permutations.
+# Reflections about the three symmetry axes.
 _FLAKE_MIRRORS = (
     {0: 0, 1: 2, 2: 1, 3: 6, 6: 3, 4: 5, 5: 4, 7: 7, 8: 9, 9: 8, 10: 12, 12: 10, 11: 11},
     {0: 0, 1: 4, 4: 1, 2: 3, 3: 2, 5: 6, 6: 5, 7: 8, 8: 7, 9: 9, 10: 10, 11: 12, 12: 11},
     {0: 0, 1: 6, 6: 1, 2: 5, 5: 2, 3: 4, 4: 3, 7: 9, 9: 7, 8: 8, 10: 11, 11: 10, 12: 12},
 )
-_FLAKE_ROTATION = {0: 0, 1: 3, 3: 5, 5: 1, 2: 4, 4: 6, 6: 2,
-                   7: 8, 8: 9, 9: 7, 10: 11, 11: 12, 12: 10}
 
 
 def _permutation_matrix(mapping: dict, n: int) -> np.ndarray:
@@ -147,11 +144,6 @@ def flake_mirror(j: int) -> np.ndarray:
     if j not in (1, 2, 3):
         raise ValueError(f"mirror index must be 1, 2 or 3, got {j}")
     return _permutation_matrix(_FLAKE_MIRRORS[j - 1], FLAKE_N)
-
-
-def flake_rotation() -> np.ndarray:
-    """Counterclockwise threefold rotation permutation of the flake."""
-    return _permutation_matrix(_FLAKE_ROTATION, FLAKE_N)
 
 
 def honeycomb_flake(g: float, tau: float) -> Model:

@@ -5,7 +5,7 @@ the real axis, the imaginary axis), extract exact and imaginary-axis zero
 modes, locate exceptional points in one-parameter families by a 41-point
 scan of eigenvalue coalescence refined by golden-section search, sweep a
 parameter while tracking eigenvalue trajectories by continuity, and
-resolve a mode's intensity pattern over labeled sites.
+compare a mode's peak intensity on the B and A sublattices.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .symmetry import REFLECTIONS
 # thresholds, absolute unless marked relative to ||H||_F
 CLASSIFY_TOL = 1e-8  # reflection defect of a held spectrum symmetry
 ZERO_MODE_TOL = 1e-9  # zero_modes, relative
-PROFILE_TOL = 1e-7  # mode_profile's eigenvalue match, relative
 EP_PARAM_TOL = 1e-8  # ep_locate's final bracket width
 EP_FOUND_TOL = 1e-3  # ep_locate's default found_tol
 ZERO_FLAG_TOL = 1e-8
@@ -383,48 +382,6 @@ def intensity_ratio(psi, m) -> float:
     if peak_a < 1e-14:
         return np.inf
     return peak_b / peak_a
-
-
-@dataclass(frozen=True)
-class ProfileResult:
-    """Site-resolved picture of one mode: the matched eigenvalue, the unit
-    eigenvector, per-site intensities, the B/A peak ratio (None without
-    sublattice labels), and whether other eigenvalues sit within tolerance
-    of the request (making the vector one member of a degenerate set)."""
-
-    value: complex
-    vector: np.ndarray
-    intensity: np.ndarray
-    ratio: float | None
-    degenerate: bool
-
-
-def mode_profile(H, value: complex, m) -> ProfileResult:
-    """Profile the eigenmode closest to ``value``, which must lie within
-    ``PROFILE_TOL * ||H||_F`` of an eigenvalue, over the model's sites."""
-    if not np.isfinite(value):
-        raise ValueError(f"value must be finite, got {value!r}")
-    H = np.asarray(H, dtype=complex)
-    if H.shape[0] != m.n_sites:
-        raise ValueError(f"matrix size {H.shape[0]} != {m.n_sites} sites")
-    system = eig(H)
-    scale = max(_fro_norm(H), 1e-300)
-    dist = np.abs(system.values - value)
-    inside = dist <= PROFILE_TOL * scale
-    if not inside.any():
-        raise ValueError(
-            f"no eigenvalue within {PROFILE_TOL:g}*||H|| of {value}; "
-            f"closest is {system.values[int(np.argmin(dist))]}"
-        )
-    idx = int(np.argmin(dist))
-    psi = system.right_vectors[:, idx]
-    intensity = np.abs(psi) ** 2
-    labels = np.array(m.sublattice)
-    ratio = None
-    if "A" in labels and "B" in labels:
-        ratio = intensity_ratio(psi, m)
-    return ProfileResult(complex(system.values[idx]), psi, intensity, ratio,
-                         degenerate=int(inside.sum()) > 1)
 
 
 @dataclass(frozen=True)

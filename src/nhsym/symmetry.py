@@ -154,16 +154,19 @@ class SymOp:
     def __post_init__(self):
         # a one-matrix stack of its own, so that the caller cannot change
         # the checked operator
-        stack = _operator_storage(np.array([self.matrix], dtype=complex),
-                                  self.kind, self.allow_singular)
+        stack = _operator_storage(
+            np.asarray(self.matrix, dtype=complex)[None], self.kind,
+            self.allow_singular)
         object.__setattr__(self, "matrix", stack[0])
 
 
 def _operator_storage(mats: np.ndarray, kind: str,
                       allow_singular: bool) -> np.ndarray:
-    """The complex stack ``mats``, made read-only, once each of its
-    matrices has passed :class:`SymOp`'s checks for ``kind``.  A matrix
-    taken from it cannot be made writeable again."""
+    """A read-only copy of the complex stack ``mats``, once each of its
+    matrices has passed :class:`SymOp`'s checks for ``kind``.  The copy
+    lives in an immutable ``bytes`` object, so neither it nor a matrix
+    taken from it, nor any array reached through ``.base``, can be made
+    writeable again."""
     if kind not in KINDS:
         raise ValueError(f"unknown relation kind {kind!r}")
     shape = mats.shape[1:]
@@ -185,16 +188,16 @@ def _operator_storage(mats: np.ndarray, kind: str,
                 f"{kind} operator is singular or badly conditioned "
                 f"(cond {cond[bad[0]]:.3g}); pass allow_singular=True to keep it"
             )
-    mats.flags.writeable = False
-    return mats
+    return np.frombuffer(mats.tobytes(), mats.dtype).reshape(mats.shape)
 
 
 def _stacked_operators(mats: np.ndarray, kind: str,
                        labels) -> list[SymOp]:
     """Discovery's solutions, the complex (k, n, n) stack ``mats`` it has
     just built, as k operators of ``kind`` with these labels, allowed to
-    be singular.  The stack is checked once and, read-only, becomes the
-    storage of every operator, so no matrix is checked or copied again."""
+    be singular.  The stack is checked and copied once, into read-only
+    storage that every operator shares, so no matrix is checked or copied
+    on its own."""
     ops = []
     for M, label in zip(_operator_storage(mats, kind, True), labels):
         op = object.__new__(SymOp)

@@ -312,7 +312,6 @@ def test_cli_defaults_are_the_library_constants(monkeypatch, capsys):
 def test_thresholds_are_not_parameters():
     # each is a module constant that the docstring names
     for func, gone in ((spectra.zero_modes, "tol"),
-                       (spectra.mode_profile, "tol"),
                        (spectra.classify_spectrum, "tol"),
                        (spectra.ep_locate, "param_tol"),
                        (spectra.ep_locate, "cluster_tol"),
@@ -500,6 +499,6 @@ def test_readme_thresholds_match_the_constants():
                              flags=re.MULTILINE)
     modules = {"linalg": linalg, "spectra": spectra, "symmetry": symmetry}
     named = {f"{module}.{name}" for module, name, _ in bullets}
-    assert len(named) == len(bullets) == 16
+    assert len(named) == len(bullets) == 15
     for module, name, value in bullets:
         assert getattr(modules[module], name) == float(value), name

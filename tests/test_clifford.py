@@ -154,20 +154,6 @@ def test_basis16_returns_fresh_copies():
         assert_array_equal(M, gamma(label))
 
 
-def test_expand_in_basis16_roundtrip():
-    rng = np.random.default_rng(5)
-    M = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    coeffs = clifford.expand_in_basis16(M)
-    rebuilt = sum(c * b for c, b in zip(coeffs, clifford.basis16()))
-    assert_allclose(rebuilt, M, atol=1e-12)
-
-
-def test_expand_in_basis16_refuses_other_shapes():
-    with pytest.raises(ValueError, match=r"need a 4x4 matrix, got shape "
-                                         r"\(3, 3\)"):
-        clifford.expand_in_basis16(np.eye(3))
-
-
 def test_verifiers_find_no_violations():
     assert clifford.verify_clifford() == []
     assert clifford.verify_product_identities() == []

@@ -53,22 +53,11 @@ def test_flake_mirrors_are_involutive_permutations():
         assert_array_equal(M.sum(axis=1), np.ones(13))
 
 
-def test_flake_rotation_cycles_mirrors():
-    R = model.flake_rotation()
-    assert_array_equal(np.linalg.matrix_power(R, 3), np.eye(13))
-    M1, M2, M3 = (model.flake_mirror(j) for j in (1, 2, 3))
-    assert_array_equal(M2, R @ M1)
-    assert_array_equal(M3, R @ M2)
-    assert_array_equal(M1, R @ M3)
-
-
 def test_flake_mirrors_preserve_adjacency():
     H0 = model.to_matrix(model.honeycomb_flake(1.0, 0.0))
     for j in (1, 2, 3):
         M = model.flake_mirror(j)
         assert_array_equal(M @ H0 @ M, H0)
-    R = model.flake_rotation()
-    assert_array_equal(R @ H0 @ R.T, H0)
 
 
 def test_flake_validation():

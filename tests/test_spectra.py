@@ -67,16 +67,13 @@ def test_flake_zero_mode_reported_at_all_couplings():
 
 def test_zero_modes_and_mode_profile_survive_huge_matrices():
     # ||H||_F is now taken on the power-of-two rescaled H; np.linalg.norm
-    # was inf here, so every mode counted as "zero" and any target matched
+    # was inf here, so every mode counted as "zero"
     m = model.mirror_chain(0.3)
     H = model.to_matrix(m)
     big = H * 2.0**530
     kinds = [z.kind for z in spectra.zero_modes(H)]
     assert kinds.count("zero") == 1
     assert [z.kind for z in spectra.zero_modes(big)] == kinds
-    with pytest.raises(ValueError, match="closest"):
-        spectra.mode_profile(big, 1e164, m)
-    assert abs(spectra.mode_profile(big, 0.0, m).value) <= 1e-12 * 2.0**530
 
 
 # --- exceptional points ---------------------------------------------------
@@ -300,15 +297,17 @@ def test_to_csv_layout_and_determinism(tmp_path):
     assert first[0] == "0" and first[1] == "0"
 
 
-# --- intensity and profiles -----------------------------------------------
+# --- intensity ratio ------------------------------------------------------
 
 def test_intensity_ratio_flake_values():
+    # the zero mode's B/A peak ratio is tau^2, as in criterion 03
     for tau, expected in ((1.0, 1.0), (2.0, 4.0), (0.8, 0.64)):
         m = model.honeycomb_flake(1.0, tau)
         H = model.to_matrix(m)
-        prof = spectra.mode_profile(H, 0.0, m)
-        assert prof.ratio == pytest.approx(expected, abs=1e-10)
-        assert not prof.degenerate
+        zero = [z for z in spectra.zero_modes(H) if z.kind == "zero"]
+        assert len(zero) == 1
+        assert (spectra.intensity_ratio(zero[0].vector, m)
+                == pytest.approx(expected, abs=1e-10))
 
 
 def test_intensity_ratio_validation():
@@ -329,24 +328,6 @@ def test_intensity_ratio_all_on_b():
     m = model.mirror_chain(0.2)
     psi = np.array([0, 0, 0, 1.0, 1.0])
     assert spectra.intensity_ratio(psi, m) == np.inf
-
-
-def test_mode_profile_degenerate_flag():
-    m = model.honeycomb_flake(1.0, 0.0)
-    H = model.to_matrix(m)
-    prof = spectra.mode_profile(H, np.sqrt(3.0), m)
-    assert prof.degenerate
-    assert prof.value == pytest.approx(np.sqrt(3.0), abs=1e-10)
-
-
-def test_mode_profile_missing_value():
-    m = model.honeycomb_flake(1.0, 0.0)
-    H = model.to_matrix(m)
-    with pytest.raises(ValueError, match="closest"):
-        spectra.mode_profile(H, 10.0 + 3j, m)
-    # a NaN used to be answered "no eigenvalue within 1e-07*||H|| of nan"
-    with pytest.raises(ValueError, match="value must be finite"):
-        spectra.mode_profile(H, np.nan, m)
 
 
 # --- protocols ------------------------------------------------------------
@@ -405,14 +386,13 @@ def test_readme_sweep_table_matches_protocols():
 
 
 def test_zero_modes_and_mode_profile_survive_eig_at_2_to_600():
-    # eig's residual norms overflowed at this scale, so both raised
+    # eig's residual norms overflowed at this scale, so zero_modes raised
     # ConvergenceError on a correct decomposition
     m = model.mirror_chain(0.3)
     H = model.to_matrix(m)
     big = H * 2.0**600
     assert ([z.kind for z in spectra.zero_modes(big)]
             == [z.kind for z in spectra.zero_modes(H)])
-    assert abs(spectra.mode_profile(big, 0.0, m).value) <= 1e-12 * 2.0**600
 
 
 @pytest.mark.parametrize("power", [-600, 600])
@@ -430,10 +410,7 @@ def test_intensity_ratio_is_scale_free(power):
     (lambda: spectra.reflection_defect([1.0, -1.0], "diagonal"),
      r"unknown axis 'diagonal'; expected one of \('origin', 'real', "
      r"'imag'\)"),
-    (lambda: spectra.mode_profile(np.eye(3), 1.0,
-                                  model.honeycomb_flake(1.0, 0.5)),
-     r"matrix size 3 != 13 sites"),
-], ids=["reflection_defect-axis", "mode_profile-size"])
+], ids=["reflection_defect-axis"])
 def test_refusals_name_their_cause(call, message):
     with pytest.raises(ValueError, match=message):
         call()
