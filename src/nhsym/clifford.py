@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import _immutable_copy
+
 INDICES = (0, 1, 2, 3, 5)
 
 # sign of gamma_mu @ gamma_mu
@@ -229,8 +231,7 @@ def expr_to_matrix(e) -> np.ndarray:
 
 # the identity, the 5 generators and their 10 pairs
 _BASIS16_LABELS = tuple(PRODUCT_NAMES)[:16]
-_BASIS16 = np.array([gamma(l) for l in _BASIS16_LABELS])
-_BASIS16.flags.writeable = False
+_BASIS16 = _immutable_copy(np.array([gamma(l) for l in _BASIS16_LABELS]))
 
 
 def basis16_labels() -> list[tuple[int, ...]]:

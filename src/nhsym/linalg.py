@@ -112,6 +112,13 @@ def _unit_scaled(A: np.ndarray) -> np.ndarray:
     return out
 
 
+def _immutable_copy(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` that lives in an immutable ``bytes`` object, so that
+    neither it, nor a view of it, nor any array reached through ``.base``
+    can be made writeable."""
+    return np.frombuffer(a.tobytes(), a.dtype).reshape(a.shape)
+
+
 def _fro_norm(A: np.ndarray):
     """||A||_F of one matrix, or the norms of a (k, m, n) stack, each taken
     where needed on the matrix rescaled as :func:`_unit_scaled` does, so
@@ -193,27 +200,26 @@ def nullspace(M, tol: float) -> np.ndarray:
     M : array_like
         Any 2-d complex matrix (square or rectangular).
     tol : float
-        Relative threshold, finite and positive: directions whose singular
-        value is at most ``tol * sigma_max`` count as null.
+        Absolute threshold, finite and non-negative: directions whose
+        singular value is at most ``tol`` count as null, so 0 keeps the
+        exact nullspace.
 
     Returns
     -------
     numpy.ndarray
-        Shape (n_cols, k) with orthonormal columns v satisfying
-        ``||M @ v|| <= tol * ||M||``; k may be zero.
+        Shape (n_cols, k) with orthonormal columns v, the right singular
+        vectors of those directions, so that ``||M @ v|| <= tol`` up to
+        rounding; k may be zero.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2:
         raise ValueError(f"M must be 2-d, got shape {M.shape}")
-    _require_tol(tol)
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     if not np.all(np.isfinite(M)):
         raise ValueError("M has non-finite entries")
-    n_cols = M.shape[1]
     _, s, vh = np.linalg.svd(M, full_matrices=True)
-    if s.size == 0 or s[0] == 0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > tol * s[0]))
+    rank = int(np.count_nonzero(s > tol))
     return vh[rank:].conj().T
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _records
 from .clifford import GammaExpr, format_expr, gamma
-from .linalg import _as_square, _real
+from .linalg import _as_square, _immutable_copy, _real
 
 SUBLATTICES = ("A", "B", "none")
 
@@ -40,8 +40,8 @@ class Model:
         whitespace.
     matrix : numpy.ndarray
         The Hamiltonian: square, finite, 1 to 256 sites; ``matrix[j, i]``
-        is the amplitude from site i to site j.  Stored as a read-only
-        complex copy.
+        is the amplitude from site i to site j.  Stored as a complex copy
+        that cannot be made writeable.
     sublattice : tuple of str
         Per-site label in {"A", "B", "none"}.
     symmetry_hints : tuple of str
@@ -65,7 +65,7 @@ class Model:
             raise ValueError(
                 "model name must be one nonempty line without '#' or "
                 f"surrounding whitespace, got {self.name!r}")
-        H = _as_square(self.matrix, "model matrix").copy()
+        H = _as_square(self.matrix, "model matrix")
         n = H.shape[0]
         if n < 1:
             raise ValueError("a model needs at least one site")
@@ -92,8 +92,7 @@ class Model:
                 or not all(isinstance(h, str) for h in hints)):
             raise ValueError("symmetry_hints must be a sequence of str, got "
                              f"{self.symmetry_hints!r}")
-        H.flags.writeable = False
-        object.__setattr__(self, "matrix", H)
+        object.__setattr__(self, "matrix", _immutable_copy(H))
         object.__setattr__(self, "sublattice", labels)
         object.__setattr__(self, "symmetry_hints", hints)
 

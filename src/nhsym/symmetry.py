@@ -53,8 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _records, clifford, model as model_mod
-from .linalg import (MAX_DENSE, _as_square, _fro_norm, _require_tol,
-                     _unit_factors, _unit_scaled, nullspace)
+from .linalg import (MAX_DENSE, _as_square, _fro_norm, _immutable_copy,
+                     _require_tol, _unit_factors, _unit_scaled, nullspace)
 
 LINEAR_ANTICOMMUTE = "linear_anticommute"
 ANTILINEAR_ANTICOMMUTE = "antilinear_anticommute"
@@ -162,11 +162,9 @@ class SymOp:
 
 def _operator_storage(mats: np.ndarray, kind: str,
                       allow_singular: bool) -> np.ndarray:
-    """A read-only copy of the complex stack ``mats``, once each of its
-    matrices has passed :class:`SymOp`'s checks for ``kind``.  The copy
-    lives in an immutable ``bytes`` object, so neither it nor a matrix
-    taken from it, nor any array reached through ``.base``, can be made
-    writeable again."""
+    """An immutable copy of the complex stack ``mats``, once each of its
+    matrices has passed :class:`SymOp`'s checks for ``kind``: neither it
+    nor a matrix taken from it can be made writeable again."""
     if kind not in KINDS:
         raise ValueError(f"unknown relation kind {kind!r}")
     shape = mats.shape[1:]
@@ -188,7 +186,7 @@ def _operator_storage(mats: np.ndarray, kind: str,
                 f"{kind} operator is singular or badly conditioned "
                 f"(cond {cond[bad[0]]:.3g}); pass allow_singular=True to keep it"
             )
-    return np.frombuffer(mats.tobytes(), mats.dtype).reshape(mats.shape)
+    return _immutable_copy(mats)
 
 
 def _stacked_operators(mats: np.ndarray, kind: str,
@@ -367,10 +365,12 @@ def discover(H, relation: str, basis=None, labels=None,
     exceptional point) or a dyad's bound exceeds ``tol``, the dense kernel
     over the n^2 unit matrices runs instead; it needs an n^2 x n^2 matrix
     and is refused above ``DENSE_KERNEL_MAX_N``.  With a basis, the dense
-    kernel runs over the basis, restricting the search to its span; there
-    ``tol`` is the relative singular-value threshold of the nullspace.  On
-    either path every returned operator is verified: its residual is at
-    most ``tol``.
+    kernel runs over the basis, restricting the search to its span.  The
+    dense kernel keeps the singular directions of its residual map whose
+    singular value is at most ``tol * ||H||_F`` times the smallest singular
+    value of the basis, which bounds each kept combination's residual by
+    ``tol``; its dimension only grows with ``tol``.  On either path every
+    returned operator is verified: its residual is at most ``tol``.
 
     Parameters
     ----------
@@ -393,8 +393,9 @@ def discover(H, relation: str, basis=None, labels=None,
         them.  When given, each solution's label is its expansion as a
         generator expression.
     tol : float
-        Finite and positive: the pairing gap and residual bound above,
-        ``DISCOVER_TOL`` by default.
+        Finite and positive: the bound on every returned operator's
+        residual, which is also the pairing gap above, ``DISCOVER_TOL`` by
+        default.
 
     Returns
     -------
@@ -443,11 +444,18 @@ def discover(H, relation: str, basis=None, labels=None,
         if any(b.shape != (n, n) for b in mats):
             raise ValueError("basis elements must match H's shape")
         mats = np.array(mats)
-        if not np.isfinite(mats).all():
+        # the stack times one power of two, so that no singular value or
+        # product below overflows; the solutions' coefficients stay the
+        # same.  The power does not apply to a zero stack, which is
+        # dependent, or to a non-finite one
+        factor, ok = _unit_factors(mats.reshape(len(mats), -1))
+        if not ok and mats.any():
             raise ValueError("basis elements have non-finite entries")
-        if not _independent(mats.shape, mats.tobytes()):
+        scaled = mats * factor
+        sigma_min = _independent(scaled.shape, scaled.tobytes())
+        if not sigma_min:
             raise ValueError("basis elements are linearly dependent")
-        return _dense_kernel(H, kind, mats, labels, tol)
+        return _dense_kernel(H, kind, mats, scaled, sigma_min, labels, tol)
     ops = _eigen_dyads(H, kind, tol)
     if ops is not None:
         return ops
@@ -458,20 +466,25 @@ def discover(H, relation: str, basis=None, labels=None,
             f"(n = {n})"
         )
     units = np.eye(n * n).reshape(n * n, n, n).transpose(0, 2, 1)
-    return _dense_kernel(H, kind, units, None, tol)
+    # orthonormal when flattened: every singular value is 1
+    return _dense_kernel(H, kind, units, units, 1.0, None, tol)
 
 
 # the keys hold each basis's bytes, so only a few are kept
 @functools.lru_cache(maxsize=4)
-def _independent(shape: tuple, data: bytes) -> bool:
-    """Whether the (k, n, n) stack of complex matrices with these bytes is
-    linearly independent: it has k singular values, each above
-    ``1e-10 * max(n, k)`` times the largest.  Memoized by content, so a
-    basis is proved once however often it is passed."""
+def _independent(shape: tuple, data: bytes) -> float:
+    """The smallest singular value of the (k, n, n) stack of complex
+    matrices with these bytes, flattened to k rows, when the stack is
+    linearly independent, and 0 when it is not.  Independent means k
+    singular values, each above ``1e-10 * max(n, k)`` times the largest.
+    Memoized by content, so a basis is proved once however often it is
+    passed."""
     k, n = shape[0], shape[-1]
     flat = np.frombuffer(data, dtype=complex).reshape(k, -1)
     sigma = np.linalg.svd(flat, compute_uv=False)
-    return sigma.size == k and bool(sigma[-1] > 1e-10 * max(n, k) * sigma[0])
+    if sigma.size == k and sigma[-1] > 1e-10 * max(n, k) * sigma[0]:
+        return float(sigma[-1])
+    return 0.0
 
 
 def _eigen_dyads(H, kind: str, tol: float) -> list[SymOp] | None:
@@ -531,15 +544,30 @@ def _pivot_normalized(rows: np.ndarray) -> np.ndarray:
     return rows / pivots[:, None]
 
 
-def _dense_kernel(H, kind: str, mats: np.ndarray, labels,
-                  tol: float) -> list[SymOp]:
-    """Solutions in the span of the (k, n, n) stack ``mats``: the nullspace
-    of the n^2 x k matrix whose column a is the column-stacked residual of
-    ``mats[a]``."""
+def _dense_kernel(H, kind: str, mats: np.ndarray, scaled: np.ndarray,
+                  sigma_min: float, labels, tol: float) -> list[SymOp]:
+    """The solutions in the span of the (k, n, n) stack ``mats`` whose
+    residual is provably at most ``tol``.  H must already be
+    :func:`_unit_scaled`.
+
+    ``scaled`` is ``mats`` times one power of two, and ``sigma_min`` the
+    smallest singular value of ``scaled`` flattened to k rows.  Let A be
+    the n^2 x k matrix whose column a is the column-stacked residual of
+    ``scaled[a]``.  A unit coefficient vector c gives the operator
+    ``sum_a c_a scaled[a]``, of Frobenius norm at least ``sigma_min``, so
+    its residual is at most ``||A c|| / (||H||_F sigma_min)``.  The right
+    singular vectors of A with singular value at most
+    ``tol ||H||_F sigma_min`` therefore span combinations that each pass;
+    for H = 0 that bound is 0, and A = 0 keeps every combination, each
+    with residual 0.  Each solution is the sum over ``mats`` with its
+    coefficients: a uniform rescaling leaves them as they are."""
     k = len(mats)
-    R = RELATIONS[kind].residual(H, mats)
+    R = RELATIONS[kind].residual(H, scaled)
+    # no square of the unit-scaled H overflows, so this is _fro_norm(H) bit
+    # for bit, without its rescaling pass
+    bound = tol * np.linalg.norm(H) * sigma_min
     coeffs = _pivot_normalized(
-        nullspace(R.transpose(0, 2, 1).reshape(k, -1).T, tol).T)
+        nullspace(R.transpose(0, 2, 1).reshape(k, -1).T, bound).T)
     if not len(coeffs):
         return []
     # each solution a sum over the basis in basis order, with no

@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -91,6 +92,21 @@ def test_check_discover_anti_pseudo_hermitian_on_chain(capsys):
     A = np.column_stack([op.matrix.ravel() for op in ops])
     coef = np.linalg.lstsq(A, declared.ravel(), rcond=None)[0]
     assert np.linalg.norm(A @ coef - declared.ravel()) <= 1e-9
+
+
+def test_discovery_tol_scan_is_monotone(capsys):
+    # the dense kernel keeps exactly the combinations that pass
+    # verification, so no --tol ends in a numerical failure (exit 3), and a
+    # larger one never finds less
+    codes, dims = [], []
+    for tol in ("0.05", "0.1", "0.2", "0.3", "0.4", "0.5", "0.7", "0.9"):
+        code, out, _ = run(capsys, "check", "--preset", "pyramid-nochiral",
+                           "--g1=3", "--g2=1", "--discover", "pseudo_chiral",
+                           "--tol", tol)
+        codes.append(code)
+        dims.append(int(re.search(r"dimension (\d+)", out).group(1)))
+    assert codes == [1, 1, 1, 0, 0, 0, 0, 0]
+    assert dims == [0, 0, 0, 4, 9, 9, 9, 10]
 
 
 def test_check_model_file_with_operator_file(capsys, tmp_path):
@@ -490,6 +506,32 @@ def test_readme_discover_relations_match_the_table():
     sentence = re.search(r"Relations for `--discover`:([^.]*)\.", text)
     names = tuple(re.findall(r"`(\w+)`", sentence.group(1)))
     assert names == symmetry.DISCOVER_RELATIONS
+
+
+def test_readme_command_lines_run_as_documented(capsys, monkeypatch,
+                                                tmp_path):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("\n## Command line\n")[1].split("\n## ")[0]
+    # the files the --file line names, and --out, in a directory of its own
+    monkeypatch.chdir(tmp_path)
+    flake = model.honeycomb_flake(1.0, 0.5)
+    model.save_model(flake, "flake.model")
+    symmetry.save_op(symmetry.named_operator(flake, "nhph:sublattice"),
+                     "sublattice.op")
+    got, want = [], []
+    for line in section.splitlines():
+        if not line.startswith("nhsym "):
+            continue
+        command, _, comment = line.partition("#")
+        # the exit code a comment states, 0 where it states none
+        stated = re.search(r"exits (\d)", comment)
+        got.append((command, cli.main(shlex.split(command)[1:])))
+        want.append((command, int(stated.group(1)) if stated else 0))
+    assert got == want
+    assert {command.split()[1] for command, _ in got} == {"check", "sweep",
+                                                          "ep"}
+    assert os.path.exists(os.path.join("results", "2b_events.json"))
 
 
 def test_readme_thresholds_match_the_constants():

