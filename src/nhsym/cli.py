@@ -179,9 +179,8 @@ def cmd_check(args) -> int:
         return 0 if ok else 1
 
     if not m.symmetry_hints:
-        print(f"{m.name}: no declared symmetries; use --op or --discover",
-              file=sys.stderr)
-        return 2
+        raise ValueError(
+            f"{m.name}: no declared symmetries; use --op or --discover")
     failures = 0
     for hint in m.symmetry_hints:
         op = symmetry.named_operator(m, hint)

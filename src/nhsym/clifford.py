@@ -136,20 +136,30 @@ class GammaExpr:
     @staticmethod
     def from_terms(pairs) -> "GammaExpr":
         """Sum ``(factors, coefficient)`` pairs, each factor sequence
-        multiplied left to right in any order and with repeats."""
+        multiplied left to right in any order and with repeats; a sum
+        that is not finite is refused."""
         sums: dict[tuple[int, ...], complex] = {}
         for factors, coeff in pairs:
             indices, sign = _canonicalize(factors)
             sums[indices] = sums.get(indices, 0j) + complex(coeff) * sign
+        for indices, c in sums.items():
+            if not np.isfinite(c):
+                raise ValueError(f"the coefficients of {PRODUCT_NAMES[indices]} "
+                                 f"sum to {c}, which is not finite")
         return GammaExpr(tuple(
             (indices, c) for indices, c in
             sorted(sums.items(), key=lambda kv: (len(kv[0]), kv[0]))
             if c != 0))
 
     def to_matrix(self) -> np.ndarray:
+        """The 4x4 matrix; one whose entries overflow is refused."""
         out = np.zeros((4, 4), dtype=complex)
-        for indices, coeff in self.terms:
-            out += coeff * gamma(indices)
+        # products on one diagonal add, and finite sums can overflow there
+        with np.errstate(over="ignore"):
+            for indices, coeff in self.terms:
+                out += coeff * gamma(indices)
+        if not np.isfinite(out).all():
+            raise ValueError(f"the matrix of {self} overflows")
         return out
 
     def __str__(self) -> str:
@@ -182,7 +192,8 @@ def parse_expr(text: str) -> GammaExpr:
     ------
     ValueError
         If the string does not fully match the grammar, with the offending
-        position in the message.
+        position in the message, or if the coefficients of one product sum
+        to a value that is not finite.
     """
     pairs = []
     pos = 0
@@ -205,7 +216,10 @@ def parse_expr(text: str) -> GammaExpr:
         first = False
     if first:
         raise ValueError(f"empty expression: {text!r}")
-    return GammaExpr.from_terms(pairs)
+    try:
+        return GammaExpr.from_terms(pairs)
+    except ValueError as exc:
+        raise ValueError(f"expression {text!r}: {exc}") from None
 
 
 def _parse_coefficient(body: str, pos: int) -> complex:

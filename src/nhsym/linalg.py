@@ -20,8 +20,10 @@ MAX_DENSE = 256
 TOL_EIG = 1e-10
 
 # floor of ep_locate's eigenvalue-cluster radius for multiplicity counting,
-# relative to ||H||_F; looser than TOL_EIG because coalescing eigenvalues
-# split as O(delta**(1/order)) around a defective point
+# relative to ||H||_F, and the gap within which sweep calls two eigenvalues
+# degenerate, relative to its largest |eps|; looser than TOL_EIG because
+# coalescing eigenvalues split as O(delta**(1/order)) around a defective
+# point
 TOL_CLUSTER = 1e-7
 
 

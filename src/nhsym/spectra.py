@@ -21,13 +21,12 @@ from .linalg import (TOL_CLUSTER, _fro_norm, _real, _require_tol,
                      _unit_factors, eig, multiplicities)
 from .symmetry import REFLECTIONS
 
-# thresholds, absolute unless marked relative to ||H||_F
+# thresholds, absolute unless marked relative to ||H||_F; sweep multiplies
+# ZERO_MODE_TOL and TOL_CLUSTER by its largest |eps| instead
 CLASSIFY_TOL = 1e-8  # reflection defect of a held spectrum symmetry
 ZERO_MODE_TOL = 1e-9  # zero_modes, relative
 EP_PARAM_TOL = 1e-8  # ep_locate's final bracket width
 EP_FOUND_TOL = 1e-3  # ep_locate's default found_tol
-ZERO_FLAG_TOL = 1e-8
-DEGENERACY_TOL = 1e-6
 SWEEP_STEPS = 400
 MAX_STEPS = 100_000
 # eigenvalue-pair dip depth (relative to spectral radius) worth refining,
@@ -163,12 +162,15 @@ def ep_locate(family: Callable[[float], np.ndarray], bracket,
     if not a < b:
         raise ValueError(f"bracket must satisfy lo < hi, got ({a}, {b})")
 
-    def spread(p: float) -> tuple[float, np.ndarray, np.ndarray]:
+    def spread(p: float) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
         H = np.asarray(family(p), dtype=complex)
         vals = eig(H).values
         if vals.size < 2:
             raise ValueError("family must have at least two eigenvalues")
-        return float(np.partition(np.abs(vals - target), 1)[1]), H, vals
+        # a distance beyond the float range is inf: no coalescence there
+        with np.errstate(over="ignore"):
+            dist = np.abs(vals - target)
+        return float(np.partition(dist, 1)[1]), H, vals, dist
 
     grid = np.linspace(a, b, 41)
     coarse = [spread(p)[0] for p in grid]
@@ -195,12 +197,12 @@ def ep_locate(family: Callable[[float], np.ndarray], bracket,
             f2 = spread(x2)[0]
     # halved first, so that the sum cannot overflow near the float limit
     p_hat = float(lo / 2.0 + hi / 2.0)
-    s_hat, H, vals = spread(p_hat)
+    s_hat, H, vals, dist = spread(p_hat)
     if s_hat > found_tol:
         return EPReport(False, p_hat, None, 0, 0, 0, s_hat)
 
     radius = max(5.0 * s_hat, TOL_CLUSTER * _fro_norm(H))
-    cluster = vals[np.abs(vals - target) <= radius]
+    cluster = vals[dist <= radius]
     value = complex(cluster.mean()) if cluster.size else complex(target)
     # a zero radius means H = 0 and every eigenvalue exactly at the target
     alg, geo = (multiplicities(H, value, tol=radius) if radius
@@ -228,7 +230,9 @@ class SweepResult:
 
     ``steps`` hold the parameter value, the eigenvalues reordered so mode
     identity is continuous from step to step, and per-mode flags (``Z``
-    at zero, ``I`` on the imaginary axis, ``D`` near-degenerate).
+    at zero, ``I`` on the imaginary axis, ``D`` near-degenerate; within
+    ``ZERO_MODE_TOL``, ``ZERO_MODE_TOL`` and ``TOL_CLUSTER`` times the
+    largest |eps| of the sweep).
     ``events`` mark steps where the zero-mode count changes
     (``zero_crossing``), the near-degenerate count changes
     (``degeneracy``), or a pair of trajectories dips toward coalescence
@@ -283,22 +287,25 @@ def sweep(family: Callable[[float], np.ndarray], lo: float, hi: float,
     traj = np.array(rows)
     n = traj.shape[1]
 
-    # per-step, per-mode flags as (steps, n) masks; D one mode at a time,
-    # so no (steps, n, n) array is formed
+    # per-step, per-mode flags as (steps, n) masks, relative to the largest
+    # |eps| of the sweep; D one mode at a time, so no (steps, n, n) array
+    # is formed
     mag = np.abs(traj)
-    zero = mag <= ZERO_FLAG_TOL
-    imag = np.abs(traj.real) <= ZERO_FLAG_TOL
+    amax = max(float(mag.max()), 1e-300)
+    zero_tol = ZERO_MODE_TOL * amax
+    cluster_tol = TOL_CLUSTER * amax
+    zero = mag <= zero_tol
+    imag = np.abs(traj.real) <= zero_tol
     degen = np.empty_like(zero)
     for i in range(n):
         gap = np.abs(traj - traj[:, i:i + 1])
         gap[:, i] = np.inf
-        degen[:, i] = gap.min(axis=1) <= DEGENERACY_TOL
+        degen[:, i] = gap.min(axis=1) <= cluster_tol
     flags = (np.where(zero, "Z", np.where(imag, "I", "")).astype(object)
              + np.where(degen, "D", "")).tolist()
     steps = tuple(SweepStep(float(p), v, tuple(f))
                   for p, v, f in zip(params, traj, flags))
 
-    amax = max(float(mag.max()), 1e-300)
     count_z = zero.sum(axis=1)
     count_d = degen.sum(axis=1)
     # an unpinned trajectory sweeping straight through the origin between
@@ -307,7 +314,7 @@ def sweep(family: Callable[[float], np.ndarray], lo: float, hi: float,
     # square overflows
     unit = _unit_factors(traj)[0]
     passes = ((_origin_distance(traj[:-1] * unit, traj[1:] * unit)
-               <= 1e-9 * amax * unit)
+               <= zero_tol * unit)
               & ~(zero[:-1] & zero[1:]))
     found = {"zero_crossing": (count_z[1:] != count_z[:-1]) | passes.any(axis=1),
              "degeneracy": count_d[1:] != count_d[:-1]}
@@ -322,7 +329,7 @@ def sweep(family: Callable[[float], np.ndarray], lo: float, hi: float,
             dip = d[1:-1]
             # a pair already degenerate at the dip bottom is a crossing
             # or a protected doublet, reported through the D flag
-            candidates = ((DEGENERACY_TOL < dip) & (dip <= threshold)
+            candidates = ((cluster_tol < dip) & (dip <= threshold)
                           & (dip < d[:-2]) & (dip < d[2:]))
             for k in (np.flatnonzero(candidates) + 1).tolist():
                 if k in ep_steps:

@@ -1,7 +1,10 @@
 """End-to-end runs of the console entry point (in process)."""
 
+import ast
+import contextlib
 import dataclasses
 import inspect
+import io
 import os
 import re
 import shlex
@@ -11,6 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nhsym import cli, clifford, linalg, model, spectra, symmetry
 
@@ -149,9 +153,25 @@ def test_check_model_file_without_hints_needs_op(capsys, tmp_path):
     m = model.pyramid("nochiral", 1.0, 0.5, 0.8)
     mpath = tmp_path / "pyr.model"
     model.save_model(m, mpath)
-    code, _, err = run(capsys, "check", "--file", str(mpath))
-    assert code == 2
-    assert "--op or --discover" in err
+    want = ("error: pyramid_nochiral: no declared symmetries; "
+            "use --op or --discover\n")
+    for source in (["--file", str(mpath)], ["--preset", "pyramid-nochiral"]):
+        assert run(capsys, "check", *source) == (2, "", want), source
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("(1e308+0i)*g1 + (1e308+0i)*g1",
+     "the coefficients of g1 sum to (inf+0j), which is not finite"),
+    # the identity and g0 share the diagonal, where the finite sum overflows
+    ("(1e308+0i)*1 + (1e308+0i)*g0", "overflows"),
+])
+def test_check_refuses_an_expression_that_overflows(capsys, expr, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        clifford.expr_to_matrix(expr)
+    code, out, err = run(capsys, "check", "--preset", "dirac4a", "--op", expr)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_check_bad_model_file(capsys, tmp_path):
@@ -200,6 +220,16 @@ def test_ep_at_huge_parameters_is_a_negative(capsys):
                          "--bracket", "1e300", "1.1e300")
     assert code == 1
     assert "no exceptional point in [1e+300, 1.1e+300]" in out
+    assert err == ""
+
+
+def test_ep_target_far_beyond_the_spectrum_is_a_negative(capsys):
+    # the distance from each eigenvalue to the target overflowed, and the
+    # warning escaped
+    code, out, err = run(capsys, "ep", "--fig", "1b", "--bracket", "0",
+                         "1e308", "--target", "1-1e308i")
+    assert code == 1
+    assert "no exceptional point in [0, 1e+308]" in out
     assert err == ""
 
 
@@ -534,13 +564,107 @@ def test_readme_command_lines_run_as_documented(capsys, monkeypatch,
     assert os.path.exists(os.path.join("results", "2b_events.json"))
 
 
+def _own_float_constants(module):
+    """``module.NAME`` to value for each float that the module's own
+    top-level code assigns, so not the ones it imports."""
+    tree = ast.parse(inspect.getsource(module))
+    short = module.__name__.rpartition(".")[2]
+    return {f"{short}.{target.id}": getattr(module, target.id)
+            for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets if isinstance(target, ast.Name)
+            and type(getattr(module, target.id)) is float}
+
+
 def test_readme_thresholds_match_the_constants():
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as fh:
-        bullets = re.findall(r"^- `(\w+)\.(\w+)` \(([^)]*)\):", fh.read(),
+        bullets = re.findall(r"^- `(\w+\.\w+)` \(([^)]*)\):", fh.read(),
                              flags=re.MULTILINE)
-    modules = {"linalg": linalg, "spectra": spectra, "symmetry": symmetry}
-    named = {f"{module}.{name}" for module, name, _ in bullets}
-    assert len(named) == len(bullets) == 15
-    for module, name, value in bullets:
-        assert getattr(modules[module], name) == float(value), name
+    stated = {name: float(value) for name, value in bullets}
+    assert len(stated) == len(bullets)
+    assert stated == {name: value
+                      for module in (linalg, spectra, symmetry)
+                      for name, value in _own_float_constants(module).items()}
+
+
+# numbers up to the float limits and beyond, and text that is no number
+_NUMBERS = st.sampled_from(("0", "1", "-1", "1e300", "1e-300", "1e308",
+                            "-1e308", "5e-324", "nan", "inf", "-inf", "x"))
+_COMPLEX = _NUMBERS | st.builds(
+    lambda re, im: f"{re}{'' if im[0] == '-' else '+'}{im}i",
+    _NUMBERS, _NUMBERS)
+_PRODUCTS = st.sampled_from(tuple(clifford.PRODUCT_NAMES.values()))
+_COEFFICIENTS = st.sampled_from(("1", "1e308+0i", "-1e308+1e308i",
+                                 "1e300+0i", "5e-324+0i", "0+0i", "nan+0i"))
+_EXPRESSIONS = st.lists(
+    st.builds("({})*{}".format, _COEFFICIENTS, _PRODUCTS),
+    min_size=1, max_size=3).map(" + ".join)
+
+
+@st.composite
+def _argv(draw):
+    """A command line of any subcommand; ``@name`` stands for a path in
+    the test's directory, which holds one model file, ``pyr.model``."""
+    argv = [draw(st.sampled_from(("check", "sweep", "ep")))]
+
+    def maybe(option, values):
+        # one option in three, so that most lines get past the parser
+        if draw(st.sampled_from((False, True, False))):
+            argv.extend((option, draw(values)))
+
+    if argv[0] == "check":
+        argv += draw(st.sampled_from(
+            [["--preset", name] for name in cli.PRESETS]
+            + [["--file", "@pyr.model"], ["--file", "@missing.model"]]))
+        for option in ("--g1", "--g2", "--g3", "--beta"):
+            maybe(option, _COMPLEX)
+        for option in ("--g", "--tau", "--delta"):
+            maybe(option, _NUMBERS)
+        mode = draw(st.sampled_from(("declared", "--op", "--discover")))
+        if mode == "--op":
+            argv += ["--op", draw(_EXPRESSIONS)]
+            maybe("--kind", st.sampled_from(symmetry.KINDS))
+        elif mode == "--discover":
+            argv += ["--discover",
+                     draw(st.sampled_from(symmetry.DISCOVER_RELATIONS))]
+    elif argv[0] == "sweep":
+        argv += ["--fig", draw(st.sampled_from(cli.FIG_TAGS)),
+                 "--steps", draw(st.sampled_from(("2", "5", "50", "1", "0",
+                                                  "-1", "1e300", "x"))),
+                 "--out", draw(st.sampled_from(("@out", "@out",
+                                                "@pyr.model")))]
+    else:
+        argv += draw(st.sampled_from(
+            [["--family", "jordan2"]]
+            + [["--fig", tag] for tag in cli.FIG_TAGS]))
+        argv += ["--bracket", *draw(
+            st.sampled_from((("0", "1"), ("-1", "1"), ("5e-324", "1e300"),
+                             ("-1e308", "1e308")))
+            | st.tuples(_NUMBERS, _NUMBERS))]
+        maybe("--target", _COMPLEX)
+    maybe("--tol", _NUMBERS)
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    model.save_model(model.pyramid("nochiral", 1.0, 0.5, 0.8),
+                     path / "pyr.model")
+    return path
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=_argv())
+def test_any_command_line_ends_in_an_exit_code(fuzz_dir, argv):
+    # every path, --out included, lies in the test's own directory
+    argv = [str(fuzz_dir / arg[1:]) if arg.startswith("@") else arg
+            for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3), argv
+    if code >= 2:
+        assert "error:" in err.getvalue(), argv
+    else:
+        assert err.getvalue() == "", argv

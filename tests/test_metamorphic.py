@@ -10,7 +10,8 @@ that of a third, every declared operator passes its check and lies in the
 space discovered for its relation, and an invertible discovered operator
 forces its relation's reflection on the spectrum.  Against exact
 arithmetic: each discovered dimension, on either kernel, is the nullity
-of the relation system over the Gaussian rationals.
+of the relation system over the Gaussian rationals.  And a sweep's
+verdicts do not change with the units of the Hamiltonian.
 """
 
 import itertools
@@ -321,10 +322,13 @@ _EXACT = [pytest.param(model.to_matrix(m), kind, False,
           for i, m in enumerate(_seeded_presets(41, sets=2))
           if m.n_sites <= 5 for kind, rel in RELATIONS.items()]
 # and the defective matrices, which the spectral kernel declines, so that
-# the dense one over the n^2 unit matrices decides
+# the dense one decides: over the n^2 unit matrices, and over basis16 for
+# the wheels of figs 2b and 2c at their exceptional points s = 1, 3/2
 _DEFECTIVE = tuple((f"jordan-set{i}", _jordan(blocks))
                    for i, blocks in enumerate(_JORDAN_SETS)) + (
-    ("jordan2", spectra.jordan2(0.0)),)
+    ("jordan2", spectra.jordan2(0.0)),) + tuple(
+    (f"{tag}-s{s:g}", spectra.PROTOCOLS[tag].matrix_at(s))
+    for tag in ("2b", "2c") for s in (1.0, 1.5))
 _EXACT += [pytest.param(H, kind, True, id=f"{name}-{rel.discover_name}")
            for name, H in _DEFECTIVE for kind, rel in RELATIONS.items()]
 
@@ -395,6 +399,25 @@ def test_invertible_operator_forces_the_spectrum_reflection():
                   for m in models for kind in RELATIONS)
     # not vacuous: 38 pairs have solutions at the defaults alone
     assert checked >= 38
+
+
+@pytest.mark.parametrize("tag", spectra.PROTOCOLS)
+def test_sweep_verdicts_do_not_depend_on_the_units_of_h(tag):
+    # 2**k H is exact, so the flags of each step and the zero_crossing and
+    # degeneracy events are those of H.  ep_candidate is left out: whether
+    # a refined dip deepens enough is decided by rounding (ROADMAP item 13)
+    proto = spectra.PROTOCOLS[tag]
+
+    def verdicts(scale):
+        result = spectra.sweep(lambda p: scale * proto.matrix_at(p),
+                               proto.lo, proto.hi, n_steps=41)
+        return ([sorted(step.flags) for step in result.steps],
+                [(e.step, e.kind) for e in result.events
+                 if e.kind != "ep_candidate"])
+
+    want = verdicts(1.0)
+    for k in (-40, -20, -1, 1, 20, 40):
+        assert verdicts(2.0 ** k) == want, k
 
 
 # the flake at its two exceptional points: second order at tau = sqrt(3) - 1,

@@ -242,8 +242,9 @@ def test_sweep_zero_crossing_between_grid_points():
 
 def test_sweep_zero_crossing_at_any_scale():
     # the segment's squared length overflowed at 2**600, which hid the
-    # crossing between the two grid points
-    for scale in (1.0, 2.0**600):
+    # crossing between the two grid points; an absolute zero threshold
+    # flagged every value as zero at 2**-40 and 2**-600, which hid it too
+    for scale in (1.0, 2.0**600, 2.0**-40, 2.0**-600):
         family = lambda p: np.array([[(p - 0.55) * scale, 0],
                                      [0, 1j * scale]])
         result = spectra.sweep(family, 0.0, 1.0, n_steps=2)

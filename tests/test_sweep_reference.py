@@ -15,9 +15,8 @@ from numpy.testing import assert_array_equal
 from scipy.optimize import linear_sum_assignment
 
 from nhsym import spectra
-from nhsym.linalg import eig
-from nhsym.spectra import (DEGENERACY_TOL, EP_CONFIRM, EP_DIP, EP_OVERLAP,
-                           ZERO_FLAG_TOL)
+from nhsym.linalg import TOL_CLUSTER, eig
+from nhsym.spectra import EP_CONFIRM, EP_DIP, EP_OVERLAP, ZERO_MODE_TOL
 
 
 def _segment_miss(z1, z2):
@@ -30,18 +29,18 @@ def _segment_miss(z1, z2):
     return abs(z1 + t * dz)
 
 
-def _mode_flags(values):
+def _mode_flags(values, zero_tol, cluster_tol):
     n = values.size
     flags = []
     for i in range(n):
         s = ""
-        if abs(values[i]) <= ZERO_FLAG_TOL:
+        if abs(values[i]) <= zero_tol:
             s += "Z"
-        elif abs(values[i].real) <= ZERO_FLAG_TOL:
+        elif abs(values[i].real) <= zero_tol:
             s += "I"
         others = np.abs(values - values[i])
         others[i] = np.inf
-        if others.min() <= DEGENERACY_TOL:
+        if others.min() <= cluster_tol:
             s += "D"
         flags.append(s)
     return tuple(flags)
@@ -62,9 +61,13 @@ def _scalar_sweep(family, lo, hi, n_steps):
         prev = vals
     traj = np.array(rows)
     n = traj.shape[1]
-    flags = [_mode_flags(traj[k]) for k in range(n_steps)]
+    # both thresholds relative to the largest |eps| of the sweep
+    amax = max(float(np.abs(traj).max()), 1e-300)
+    zero_tol = ZERO_MODE_TOL * amax
+    cluster_tol = TOL_CLUSTER * amax
+    flags = [_mode_flags(traj[k], zero_tol, cluster_tol)
+             for k in range(n_steps)]
 
-    amax = float(np.abs(traj).max())
     events = []
     count_z = [sum(1 for f in fl if "Z" in f) for fl in flags]
     count_d = [sum(1 for f in fl if "D" in f) for fl in flags]
@@ -73,9 +76,9 @@ def _scalar_sweep(family, lo, hi, n_steps):
         if not crossing:
             for i in range(n):
                 z1, z2 = traj[k - 1, i], traj[k, i]
-                if abs(z1) <= ZERO_FLAG_TOL and abs(z2) <= ZERO_FLAG_TOL:
+                if abs(z1) <= zero_tol and abs(z2) <= zero_tol:
                     continue
-                if _segment_miss(z1, z2) <= 1e-9 * max(amax, 1e-300):
+                if _segment_miss(z1, z2) <= zero_tol:
                     crossing = True
                     break
         if crossing:
@@ -83,7 +86,7 @@ def _scalar_sweep(family, lo, hi, n_steps):
         if count_d[k] != count_d[k - 1]:
             events.append((k, float(params[k]), "degeneracy"))
 
-    threshold = EP_DIP * max(amax, 1e-300)
+    threshold = EP_DIP * amax
     ep_steps = set()
     for i in range(n):
         for j in range(i + 1, n):
@@ -91,7 +94,7 @@ def _scalar_sweep(family, lo, hi, n_steps):
             for k in range(1, n_steps - 1):
                 if k in ep_steps:
                     continue
-                if not DEGENERACY_TOL < d[k] <= threshold:
+                if not cluster_tol < d[k] <= threshold:
                     continue
                 if not (d[k] < d[k - 1] and d[k] < d[k + 1]):
                     continue
