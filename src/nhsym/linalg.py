@@ -73,13 +73,13 @@ def _require_tol(tol, name: str = "tol") -> None:
         raise ValueError(f"{name} must be finite and positive, got {tol!r}")
 
 
-def _real(value, name: str):
-    """``value`` as a float, or a float array if it is one, refusing a
-    complex value even with a zero imaginary part, as ``float`` refuses a
-    Python complex; numpy would drop the imaginary part with a warning."""
+def _real(value, name: str) -> float:
+    """``value`` as a float, refusing a complex value even with a zero
+    imaginary part, as ``float`` refuses a Python complex; numpy would drop
+    the imaginary part with a warning."""
     if np.iscomplexobj(value):
         raise ValueError(f"{name} must be real, got {value!r}")
-    return float(value) if np.ndim(value) == 0 else np.asarray(value, float)
+    return float(value)
 
 
 def _peaks(A: np.ndarray) -> np.ndarray:

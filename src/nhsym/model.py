@@ -6,7 +6,7 @@ amplitude from site i to site j, so asymmetric hopping (amplitude i->j
 different from j->i) is representable without special cases.  Builders
 cover a 13-site honeycomb flake with balanced gain and loss, a 4-site
 wheel with rotation-time symmetry, two 4-site Dirac-matrix lattices, the
-all-to-all 4-site pyramid family, bipartite blocks with imaginary on-site
+all-to-all 4-site pyramid family, a 5-site chain with imaginary on-site
 detuning, and the 2x2 Bloch matrix of a dimerized chain.
 
 Each builder attaches ``symmetry_hints``: strings naming relations the
@@ -272,14 +272,22 @@ def pyramid(variant: str, g1: complex, g2: complex, g3: complex,
     else:
         raise ValueError(f"variant must be 'nochiral' or 'chiral', got {variant!r}")
     pairs = [(factors, complex(coeff)) for factors, coeff in detunings]
-    present = dict(GammaExpr.from_terms(pairs).terms)
+    detuning = GammaExpr.from_terms(pairs)
+    present = dict(detuning.terms)
     if not present.keys() <= _DETUNING_LABELS:
         raise ValueError(
             f"detunings {sorted(present.keys() - _DETUNING_LABELS)} are not "
             "along the diagonal products g0, g1*g2, g3*g5"
         )
-    for factors, coeff in pairs:
-        H = H + coeff * gamma(factors)
+    # the diagonal products add on one diagonal, and finite sums can
+    # overflow there
+    try:
+        with np.errstate(over="raise"):
+            for factors, coeff in pairs:
+                H = H + coeff * gamma(factors)
+    except FloatingPointError:
+        raise ValueError(
+            f"the detunings {detuning} overflow the matrix") from None
     hints = []
     if variant == "chiral":
         if (3, 5) not in present:
@@ -311,49 +319,7 @@ def pyramid_evolving_chiral(g1: complex, d2: complex) -> GammaExpr:
 
 
 # ---------------------------------------------------------------------------
-# bipartite block models
-
-
-def bipartite_pseudo(T, D_A, D_B, name: str = "bipartite_pseudo",
-                     extra_hints=()) -> Model:
-    """Bipartite model ``[[i*diag(D_A), T], [T^dagger, i*diag(D_B)]]``.
-
-    Parameters
-    ----------
-    T : array_like
-        Complex coupling block, shape (n_A, n_B).
-    D_A, D_B : array_like
-        Real detuning vectors; the on-site potentials are purely imaginary.
-    extra_hints : sequence of str
-        Hints recorded after the sublattice one; a bare string is refused.
-
-    Returns
-    -------
-    Model
-        Sites ordered A block then B block.  The sublattice-sign operator
-        C = P_A - P_B always satisfies ``C @ H^dagger @ inv(C) = -H``,
-        recorded as the ``antipseudo:sublattice`` hint.
-    """
-    # a bare string would be split into one-character hints
-    if isinstance(extra_hints, str):
-        raise ValueError("extra_hints must be a sequence of str, got "
-                         f"{extra_hints!r}")
-    T = np.asarray(T, dtype=complex)
-    if T.ndim != 2:
-        raise ValueError(f"T must be 2-d, got shape {T.shape}")
-    D_A, D_B = _real(D_A, "D_A"), _real(D_B, "D_B")
-    na, nb = T.shape
-    if np.shape(D_A) != (na,) or np.shape(D_B) != (nb,):
-        raise ValueError(f"detuning shapes {np.shape(D_A)}, {np.shape(D_B)} "
-                         f"do not match T {T.shape}")
-    H = np.zeros((na + nb, na + nb), dtype=complex)
-    H[:na, :na] = 1j * np.diag(D_A)
-    H[na:, na:] = 1j * np.diag(D_B)
-    H[:na, na:] = T
-    H[na:, :na] = T.conj().T
-    labels = ("A",) * na + ("B",) * nb
-    hints = ("antipseudo:sublattice",) + tuple(extra_hints)
-    return Model(name, H, labels, hints)
+# detuned mirror chain
 
 
 CHAIN_COUPLING = 1 - 0.1j
@@ -366,21 +332,26 @@ def mirror_chain(delta: float) -> Model:
     g = ``CHAIN_COUPLING`` (each bond Hermitian), and imaginary on-site
     detuning i*delta*(1, 1, 0, -1, -1) along the chain, odd under site
     reversal.  Sites are stored majority block first: chain positions
-    (1, 3, 5) then (2, 4).
+    (1, 3, 5) then (2, 4), so H = ``[[i*diag(D_A), T], [T^dagger,
+    i*diag(D_B)]]``.
 
-    The reversal permutation composed with the sublattice sign gives an
-    operator eta with ``eta @ H.T @ inv(eta) = -H``, and the reversal alone
-    composed with complex conjugation commutes with H.
+    The sublattice sign C satisfies ``C @ H^dagger @ inv(C) = -H``.  The
+    reversal permutation composed with C gives an operator eta with
+    ``eta @ H.T @ inv(eta) = -H``, and the reversal alone composed with
+    complex conjugation commutes with H.
     """
     delta = _real(delta, "delta")
     g = CHAIN_COUPLING
     T = np.array([[g, 0], [g, np.conj(g)], [0, np.conj(g)]])
     D_A = delta * np.array([1.0, 0.0, -1.0])
     D_B = delta * np.array([1.0, -1.0])
-    return bipartite_pseudo(
-        T, D_A, D_B, name="mirror_chain",
-        extra_hints=("pseudo:parity*sublattice", "rt:parity"),
-    )
+    H = np.zeros((5, 5), dtype=complex)
+    H[:3, :3] = 1j * np.diag(D_A)
+    H[3:, 3:] = 1j * np.diag(D_B)
+    H[:3, 3:] = T
+    H[3:, :3] = T.conj().T
+    hints = ("antipseudo:sublattice", "pseudo:parity*sublattice", "rt:parity")
+    return Model("mirror_chain", H, ("A", "A", "A", "B", "B"), hints)
 
 
 def chain_parity(n_a: int, n_b: int) -> np.ndarray:

@@ -151,7 +151,8 @@ def ep_locate(family: Callable[[float], np.ndarray], bracket,
     to adjacent floats); the point counts as found when the minimized
     distance is at most ``found_tol``, finite and positive.  Multiplicities
     are then measured with a cluster radius of five times the residual
-    spread, floored at ``TOL_CLUSTER * ||H||_F``.
+    spread, floored at ``TOL_CLUSTER * ||H||_F``; a radius beyond the
+    float range is refused.
     """
     _require_tol(found_tol, "found_tol")
     if not np.isfinite(target):
@@ -201,11 +202,20 @@ def ep_locate(family: Callable[[float], np.ndarray], bracket,
     if s_hat > found_tol:
         return EPReport(False, p_hat, None, 0, 0, 0, s_hat)
 
-    radius = max(5.0 * s_hat, TOL_CLUSTER * _fro_norm(H))
-    cluster = vals[dist <= radius]
-    value = complex(cluster.mean()) if cluster.size else complex(target)
+    # the norm, the cluster's mean and the counts are taken on H and its
+    # eigenvalues rescaled by a power of two, exactly, so that none of them
+    # overflows near the float limit; the cluster holds at least the two
+    # eigenvalues nearest the target, whose distances are at most s_hat
+    f = float(_unit_factors(H)[0])
+    Hf = H * f
+    radius = max(5.0 * s_hat, TOL_CLUSTER * _fro_norm(Hf) / f)
+    if radius * f == np.inf:
+        raise ValueError(f"the cluster radius, 5 times the spread "
+                         f"{s_hat:.3e}, overflows")
+    mean = (vals[dist <= radius] * f).mean()
+    value = complex(mean.real / f, mean.imag / f)
     # a zero radius means H = 0 and every eigenvalue exactly at the target
-    alg, geo = (multiplicities(H, value, tol=radius) if radius
+    alg, geo = (multiplicities(Hf, mean, tol=radius * f) if radius
                 else (vals.size, vals.size))
     return EPReport(True, p_hat, value, alg, geo, alg - geo + 1, s_hat)
 

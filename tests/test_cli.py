@@ -233,6 +233,25 @@ def test_ep_target_far_beyond_the_spectrum_is_a_negative(capsys):
     assert err == ""
 
 
+def test_ep_cluster_at_the_float_limit_is_a_finite_report(capsys):
+    # ||H||_F and the cluster's mean overflowed with two RuntimeWarnings,
+    # and the run ended blaming a NaN centre the user never passed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "ep", "--fig", "1b", "--bracket", "0",
+                             "1e308", "--tol", "1e300", "--target", "1e308i")
+    assert (code, err) == (0, "")
+    assert "exceptional point at parameter 1e+308" in out
+    assert "nan" not in out and "inf" not in out
+    # a spread admitted by a --tol at the float limit made the radius
+    # inf, which was then refused as if it were the user's tol
+    code, out, err = run(capsys, "ep", "--family", "jordan2", "--bracket",
+                         "0", "1", "--tol", "1e308", "--target", "1e308")
+    assert (code, out) == (2, "")
+    assert err == ("error: the cluster radius, 5 times the spread "
+                   "1.000e+308, overflows\n")
+
+
 def test_ep_eigenvalue_overflow_is_a_numerical_failure(capsys):
     # LAPACK returns infinite eigenvalues for this finite matrix; they were
     # accepted with NaN residuals, and the overflowing midpoint of the

@@ -331,6 +331,12 @@ _DEFECTIVE = tuple((f"jordan-set{i}", _jordan(blocks))
     for tag in ("2b", "2c") for s in (1.0, 1.5))
 _EXACT += [pytest.param(H, kind, True, id=f"{name}-{rel.discover_name}")
            for name, H in _DEFECTIVE for kind, rel in RELATIONS.items()]
+# and the 13-site flake, Hermitian and with gain and loss, for its chiral
+# space only: a 169 x 169 exact rank per relation
+_EXACT += [pytest.param(model.to_matrix(model.honeycomb_flake(1, tau)),
+                        "linear_anticommute", False,
+                        id=f"flake-tau{tau:g}-chiral")
+           for tau in (0, 1 / 2)]
 
 
 def _gaussian_rational(z, domain):

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,18 @@ def test_pyramid_detuning_label_restriction():
         model.pyramid("chiral", 1, 1, 0.8, detunings=(((5,), 0.2),))
 
 
+def test_pyramid_refuses_detunings_that_overflow():
+    # finite detunings along different diagonal products add on one
+    # diagonal entry; the sum overflowed with a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=(
+                r"^the detunings \(1e\+308\+0i\)\*g0 \+ "
+                r"\(1e\+308\+0i\)\*g3\*g5 overflow the matrix$")):
+            model.pyramid("chiral", 1, 1, 0.8,
+                          detunings=(((0,), 1e308), ((3, 5), 1e308)))
+
+
 def test_pyramid_hint_survival():
     base = model.pyramid("chiral", 1, 1, 0.8)
     assert set(base.symmetry_hints) == {"chiral:g1", "chiral:g0*g5"}
@@ -189,15 +202,6 @@ def test_chain_parity():
         model.chain_parity(3, 3)
 
 
-def test_bipartite_pseudo_general():
-    rng = np.random.default_rng(4)
-    T = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-    m = model.bipartite_pseudo(T, [0.5, -0.2, 0.1], [0.3, -0.4])
-    H = model.to_matrix(m)
-    C = model.lattice_operator(m, "sublattice")
-    assert_allclose(C @ H.conj().T + H @ C, 0, atol=1e-15)
-
-
 # --- Bloch matrices -------------------------------------------------------
 
 def test_ssh_bloch_forms():
@@ -226,10 +230,6 @@ _REAL_PARAMETERS = {
     "bloch t2": (lambda x: model.ssh_bloch("asym_coupling", 1, x, 0, 0), "t2"),
     "bloch tau": (lambda x: model.ssh_bloch("imag_onsite", 1, 1, x, 0), "tau"),
     "bloch k": (lambda x: model.ssh_bloch("imag_onsite", 1, 1, 0, x), "k"),
-    "bipartite D_A": (lambda x: model.bipartite_pseudo(
-        np.ones((1, 1)), [x], [0.0]), "D_A"),
-    "bipartite D_B": (lambda x: model.bipartite_pseudo(
-        np.ones((1, 1)), [0.0], [x]), "D_B"),
 }
 
 
@@ -414,21 +414,13 @@ def test_load_model_comments_and_labels(tmp_path):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: model.bipartite_pseudo([1.0, 2.0], [0.0], [0.0]),
-     r"T must be 2-d, got shape \(2,\)"),
-    (lambda: model.bipartite_pseudo(np.ones((2, 3)), [0.0, 0.1], [0.2]),
-     r"detuning shapes \(2,\), \(1,\) do not match T \(2, 3\)"),
-    (lambda: model.bipartite_pseudo(np.ones((1, 1)), [0.0], [0.0],
-                                    extra_hints="rt:parity"),
-     r"extra_hints must be a sequence of str, got 'rt:parity'"),
     (lambda: model.flake_mirror(4), r"mirror index must be 1, 2 or 3, got 4"),
     (lambda: model.pyramid("hidden", 1.0, 0.5, 0.8),
      r"variant must be 'nochiral' or 'chiral', got 'hidden'"),
     (lambda: model.lattice_operator(model.pyramid("chiral", 1.0, 0.5, 0.8),
                                     "sublattice"),
      r"model 'pyramid_chiral' has unlabeled sites"),
-], ids=["bipartite-1d-T", "bipartite-detunings", "bipartite-string-hints",
-        "flake_mirror-4",
+], ids=["flake_mirror-4",
         "pyramid-variant", "lattice_operator-unlabeled"])
 def test_refusals_name_their_cause(call, message):
     with pytest.raises(ValueError, match=message):

@@ -143,16 +143,8 @@ def test_seeded_builders_match_the_coupling_list_form():
                           ref_pyramid(variant, *c, detunings)))
         g, tau = 0.1 + abs(rng.normal()), abs(rng.normal())
         cases.append((model.honeycomb_flake(g, tau), ref_flake(g, tau)))
-        # the chain's coupling is fixed; bipartite_pseudo below takes
-        # seeded couplings
         delta = rng.normal()
         cases.append((model.mirror_chain(delta), ref_mirror_chain(delta)))
-        na, nb = rng.integers(1, 6, size=2)
-        T = rng.normal(size=(na, nb)) + 1j * rng.normal(size=(na, nb))
-        T[rng.random(size=T.shape) < 0.3] = 0
-        D_A, D_B = rng.normal(size=na), rng.normal(size=nb)
-        cases.append((model.bipartite_pseudo(T, D_A, D_B),
-                      ref_bipartite_pseudo(T, D_A, D_B)))
         for m, H in cases:
             assert np.array_equal(model.to_matrix(m), H), m.name
 

@@ -141,6 +141,18 @@ def test_ep_midpoint_near_the_float_limit_is_finite():
     assert 1e308 <= rep.parameter <= 1.7e308
 
 
+def test_ep_cluster_at_the_float_limit_is_finite():
+    # ||H||_F and the sum of the two coalescing eigenvalues overflowed, and
+    # the NaN mean was then refused as the centre of the count
+    def family(p):
+        return np.array([[1e308, 1, 0], [p, 1e308, 0], [0, 0, -1e308]])
+
+    rep = spectra.ep_locate(family, (-0.1, 0.1), target=1e308)
+    assert rep.found
+    assert rep.value == 1e308
+    assert (rep.algebraic, rep.geometric) == (2, 2)
+
+
 def test_ep_zero_family_counts_every_eigenvalue():
     # the cluster radius max(5 * spread, TOL_CLUSTER * ||H||_F) is 0 there;
     # the report matches that of the scalar family p * I
