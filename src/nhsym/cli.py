@@ -244,9 +244,13 @@ def cmd_ep(args) -> int:
               f"(best spread {report.spread:.3e} at {report.parameter:.12g})")
         return 1
     print(f"{name}: exceptional point at parameter {report.parameter:.12g}")
+    # the counts fix the blocks unless a second one exceeds 1
+    blocks = report.blocks
+    shown = (", Jordan blocks " + ", ".join(map(str, blocks))
+             if len(blocks) > 1 and blocks[1] > 1 else "")
     print(f"  eigenvalue {clifford._format_complex(report.value)}, "
           f"algebraic {report.algebraic}, geometric {report.geometric}, "
-          f"order {report.order}")
+          f"order {report.order}{shown}")
     return 0
 
 

@@ -11,7 +11,11 @@ detuning, and the 2x2 Bloch matrix of a dimerized chain.
 
 Each builder attaches ``symmetry_hints``: strings naming relations the
 built matrix is expected to satisfy, resolvable to concrete operators with
-:func:`nhsym.symmetry.named_operator`.
+:func:`nhsym.symmetry.named_operator`.  Their lattice tokens resolve with
+:func:`lattice_operator`: ``sublattice`` is the sign +1 on A and -1 on B
+sites, and each other token is a site permutation read from one table
+of site images, the flake's three mirrors and the chain's reversal, which
+only a model of the permutation's length accepts.
 """
 
 from __future__ import annotations
@@ -122,27 +126,6 @@ FLAKE_EDGES = (
 )
 FLAKE_GAIN = (1, 3, 5)
 FLAKE_LOSS = (2, 4, 6)
-
-# Reflections about the three symmetry axes.
-_FLAKE_MIRRORS = (
-    {0: 0, 1: 2, 2: 1, 3: 6, 6: 3, 4: 5, 5: 4, 7: 7, 8: 9, 9: 8, 10: 12, 12: 10, 11: 11},
-    {0: 0, 1: 4, 4: 1, 2: 3, 3: 2, 5: 6, 6: 5, 7: 8, 8: 7, 9: 9, 10: 10, 11: 12, 12: 11},
-    {0: 0, 1: 6, 6: 1, 2: 5, 5: 2, 3: 4, 4: 3, 7: 9, 9: 7, 8: 8, 10: 11, 11: 10, 12: 12},
-)
-
-
-def _permutation_matrix(mapping: dict, n: int) -> np.ndarray:
-    P = np.zeros((n, n), dtype=complex)
-    for src in range(n):
-        P[mapping[src], src] = 1
-    return P
-
-
-def flake_mirror(j: int) -> np.ndarray:
-    """Reflection permutation of the flake about symmetry axis j (1, 2, 3)."""
-    if j not in (1, 2, 3):
-        raise ValueError(f"mirror index must be 1, 2 or 3, got {j}")
-    return _permutation_matrix(_FLAKE_MIRRORS[j - 1], FLAKE_N)
 
 
 def honeycomb_flake(g: float, tau: float) -> Model:
@@ -354,25 +337,26 @@ def mirror_chain(delta: float) -> Model:
     return Model("mirror_chain", H, ("A", "A", "A", "B", "B"), hints)
 
 
-def chain_parity(n_a: int, n_b: int) -> np.ndarray:
-    """Site-reversal permutation for an A-first grouped alternating chain.
+# ---------------------------------------------------------------------------
+# lattice operators
 
-    The chain has ``n_a + n_b`` sites alternating A, B, A, ..., A (so
-    ``n_a == n_b + 1``), stored with all A sites first in chain order, then
-    all B sites.  Returns the permutation matrix of position p -> n-1-p.
-    """
-    if n_a != n_b + 1:
-        raise ValueError(f"alternating chain needs n_a == n_b + 1, got {n_a}, {n_b}")
-    n = n_a + n_b
-
-    def grouped(p):
-        return p // 2 if p % 2 == 0 else n_a + p // 2
-
-    mapping = {grouped(p): grouped(n - 1 - p) for p in range(n)}
-    return _permutation_matrix(mapping, n)
+# Site permutations by lattice token: entry i is the image of site i.  The
+# flake's reflections about its three symmetry axes, and the reversal of
+# the mirror chain in its stored order (chain positions 1, 3, 5, then 2, 4).
+_SITE_IMAGES = {
+    "mirror1": (0, 2, 1, 6, 5, 4, 3, 7, 9, 8, 12, 11, 10),
+    "mirror2": (0, 4, 3, 2, 1, 6, 5, 8, 7, 9, 10, 12, 11),
+    "mirror3": (0, 6, 5, 4, 3, 2, 1, 9, 8, 7, 11, 10, 12),
+    "parity": (2, 1, 0, 4, 3),
+}
+LATTICE_TOKENS = ("sublattice", *_SITE_IMAGES)
 
 
-LATTICE_TOKENS = ("sublattice", "mirror1", "mirror2", "mirror3", "parity")
+def flake_mirror(j: int) -> np.ndarray:
+    """Reflection permutation of the flake about symmetry axis j (1, 2, 3)."""
+    if j not in (1, 2, 3):
+        raise ValueError(f"mirror index must be 1, 2 or 3, got {j}")
+    return np.eye(FLAKE_N, dtype=complex)[:, _SITE_IMAGES[f"mirror{j}"]]
 
 
 def lattice_operator(m: Model, token: str) -> np.ndarray:
@@ -380,7 +364,7 @@ def lattice_operator(m: Model, token: str) -> np.ndarray:
 
     Tokens: ``sublattice`` (diagonal +1 on A, -1 on B), ``mirror1`` /
     ``mirror2`` / ``mirror3`` (flake reflections), ``parity`` (chain
-    reversal).
+    reversal); a permutation token needs a model of its own site count.
     """
     if token not in LATTICE_TOKENS:
         raise ValueError(f"unknown lattice operator token {token!r}")
@@ -388,13 +372,11 @@ def lattice_operator(m: Model, token: str) -> np.ndarray:
         if "none" in m.sublattice:
             raise ValueError(f"model {m.name!r} has unlabeled sites")
         return np.diag([1.0 + 0j if lab == "A" else -1.0 for lab in m.sublattice])
-    if token == "parity":
-        n_a = sum(1 for lab in m.sublattice if lab == "A")
-        n_b = sum(1 for lab in m.sublattice if lab == "B")
-        return chain_parity(n_a, n_b)
-    if m.n_sites != FLAKE_N:
-        raise ValueError(f"{token} is a flake operator; model has {m.n_sites} sites")
-    return flake_mirror(int(token[-1]))
+    images = _SITE_IMAGES[token]
+    if m.n_sites != len(images):
+        raise ValueError(f"{token} acts on {len(images)} sites; model "
+                         f"{m.name!r} has {m.n_sites}")
+    return np.eye(m.n_sites, dtype=complex)[:, images]
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 Tools to classify a spectrum's reflection symmetries (through the origin,
 the real axis, the imaginary axis), extract exact and imaginary-axis zero
 modes, locate exceptional points in one-parameter families by a 41-point
-scan of eigenvalue coalescence refined by golden-section search, sweep a
-parameter while tracking eigenvalue trajectories by continuity, and
-compare a mode's peak intensity on the B and A sublattices.
+scan of eigenvalue coalescence refined by golden-section search and state
+their Jordan blocks, sweep a parameter while tracking eigenvalue
+trajectories by continuity, and compare a mode's peak intensity on the B
+and A sublattices.
 """
 
 from __future__ import annotations
@@ -99,13 +100,16 @@ def zero_modes(H) -> list[ZeroMode]:
     ``ZERO_MODE_TOL * ||H||_F``."""
     H = np.asarray(H, dtype=complex)
     system = eig(H)
-    tol = ZERO_MODE_TOL * max(_fro_norm(H), 1e-300)
+    # the eigenvalues are compared with ||H||_F on H rescaled by a power of
+    # two, exactly, so that the norm cannot overflow near the float limit
+    f = float(_unit_factors(H)[0])
+    tol = ZERO_MODE_TOL * _fro_norm(H * f)
     out = []
     for idx, value in enumerate(system.values):
         value = complex(value)
-        if abs(value) <= tol:
+        if abs(value * f) <= tol:
             kind = "zero"
-        elif abs(value.real) <= tol:
+        elif abs(value.real * f) <= tol:
             kind = "imaginary"
         else:
             continue
@@ -117,11 +121,13 @@ def zero_modes(H) -> list[ZeroMode]:
 class EPReport:
     """Result of an exceptional-point search.
 
-    ``order`` is algebraic - geometric + 1 at the located parameter;
-    ``spread`` is the residual coalescence measure (second-smallest
-    distance from the target) at that parameter.  When nothing coalesces
-    within ``found_tol``, ``found`` is False and only ``parameter`` (the
-    best candidate) and ``spread`` are meaningful.
+    ``blocks`` are the Jordan block sizes of the located cluster in
+    descending order, one per geometric count and summing to the algebraic
+    one, and ``order`` is the largest; ``spread`` is the residual
+    coalescence measure (second-smallest distance from the target) at the
+    located parameter.  When nothing coalesces within ``found_tol``,
+    ``found`` is False and only ``parameter`` (the best candidate) and
+    ``spread`` are meaningful.
     """
 
     found: bool
@@ -131,6 +137,37 @@ class EPReport:
     geometric: int
     order: int
     spread: float
+    blocks: tuple[int, ...]
+
+
+def _jordan_blocks(A: np.ndarray, algebraic: int, geometric: int,
+                   tol: float) -> tuple[int, ...]:
+    """Jordan block sizes, in descending order, of the cluster of
+    ``algebraic`` eigenvalues of A near 0 with ``geometric`` independent
+    eigenvectors.
+
+    A staircase reduction (Kublanovskaya; Kagstrom and Ruhe, ACM TOMS 6(3),
+    1980) restricted to the cluster's invariant subspace, the
+    ``algebraic`` smallest right singular directions of A^algebraic.  Step
+    k counts the singular values at most ``tol`` of the restricted map as
+    the k-th Weyr number, the growth of the nullity of A^k, and deflates
+    that many directions.  The first count is ``geometric`` and each count
+    lies between 1 and the one before, so the blocks always partition
+    ``algebraic`` into ``geometric`` parts.
+    """
+    vh = np.linalg.svd(np.linalg.matrix_power(A, algebraic))[2]
+    Q = vh[-algebraic:].conj().T
+    T = Q.conj().T @ A @ Q
+    weyr, count = [], geometric
+    while T.size:
+        _, s, vh = np.linalg.svd(T)
+        if weyr:
+            count = min(weyr[-1], int(np.count_nonzero(s <= tol)))
+        count = max(1, min(count, len(T)))
+        weyr.append(count)
+        keep = vh[:len(T) - count].conj().T
+        T = keep.conj().T @ T @ keep
+    return tuple(sum(w >= j for w in weyr) for j in range(1, weyr[0] + 1))
 
 
 def jordan2(delta: float) -> np.ndarray:
@@ -150,9 +187,9 @@ def ep_locate(family: Callable[[float], np.ndarray], bracket,
     coalescence).  The parameter is refined to within ``EP_PARAM_TOL`` (or
     to adjacent floats); the point counts as found when the minimized
     distance is at most ``found_tol``, finite and positive.  Multiplicities
-    are then measured with a cluster radius of five times the residual
-    spread, floored at ``TOL_CLUSTER * ||H||_F``; a radius beyond the
-    float range is refused.
+    and Jordan blocks are then measured with a cluster radius of five
+    times the residual spread, floored at ``TOL_CLUSTER * ||H||_F``; a
+    radius beyond the float range is refused.
     """
     _require_tol(found_tol, "found_tol")
     if not np.isfinite(target):
@@ -200,7 +237,7 @@ def ep_locate(family: Callable[[float], np.ndarray], bracket,
     p_hat = float(lo / 2.0 + hi / 2.0)
     s_hat, H, vals, dist = spread(p_hat)
     if s_hat > found_tol:
-        return EPReport(False, p_hat, None, 0, 0, 0, s_hat)
+        return EPReport(False, p_hat, None, 0, 0, 0, s_hat, ())
 
     # the norm, the cluster's mean and the counts are taken on H and its
     # eigenvalues rescaled by a power of two, exactly, so that none of them
@@ -215,9 +252,14 @@ def ep_locate(family: Callable[[float], np.ndarray], bracket,
     mean = (vals[dist <= radius] * f).mean()
     value = complex(mean.real / f, mean.imag / f)
     # a zero radius means H = 0 and every eigenvalue exactly at the target
-    alg, geo = (multiplicities(Hf, mean, tol=radius * f) if radius
-                else (vals.size, vals.size))
-    return EPReport(True, p_hat, value, alg, geo, alg - geo + 1, s_hat)
+    if radius:
+        alg, geo = multiplicities(Hf, mean, tol=radius * f)
+        blocks = _jordan_blocks(Hf - mean * np.eye(len(Hf)), alg, geo,
+                                radius * f)
+    else:
+        alg = geo = vals.size
+        blocks = (1,) * alg
+    return EPReport(True, p_hat, value, alg, geo, blocks[0], s_hat, blocks)
 
 
 @dataclass(frozen=True)

@@ -205,6 +205,19 @@ def test_ep_flake_order_three(capsys):
     assert param == pytest.approx(np.sqrt(2.0), abs=1e-6)
 
 
+def test_ep_names_the_blocks_where_two_exceed_one(capsys):
+    code, out, _ = run(capsys, "ep", "--fig", "1b", "--bracket", "0.7",
+                       "0.76", "--target", "1.3160740129524924")
+    assert code == 0
+    assert out.splitlines()[1].endswith(
+        "algebraic 4, geometric 2, order 2, Jordan blocks 2, 2")
+    # a single block exceeding 1 follows from the counts, and is not named
+    for argv in (["--fig", "1b", "--bracket", "1.0", "2.0"],
+                 ["--family", "jordan2", "--bracket", "-0.1", "0.1"]):
+        code, out, _ = run(capsys, "ep", *argv)
+        assert code == 0 and "Jordan" not in out
+
+
 def test_ep_chain_not_found(capsys):
     code, out, _ = run(capsys, "ep", "--fig", "5b",
                        "--bracket", "0", "1.00499")

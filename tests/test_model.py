@@ -191,17 +191,6 @@ def test_mirror_chain_antipseudo_is_exact():
         assert_allclose(C @ H.conj().T + H @ C, 0, atol=0)
 
 
-def test_chain_parity():
-    P = model.chain_parity(3, 2)
-    # grouped order (chain 1,3,5 then 2,4): reversal swaps ends, fixes center
-    expected = np.zeros((5, 5))
-    for src, dst in ((0, 2), (1, 1), (2, 0), (3, 4), (4, 3)):
-        expected[dst, src] = 1.0
-    assert_array_equal(P, expected)
-    with pytest.raises(ValueError):
-        model.chain_parity(3, 3)
-
-
 # --- Bloch matrices -------------------------------------------------------
 
 def test_ssh_bloch_forms():
@@ -290,17 +279,43 @@ def test_model_keeps_a_read_only_copy():
     assert m.matrix[0, 0] == 0.5
 
 
+# the swapped site pairs of each permutation token; unlisted sites are fixed
+_SWAPS = {
+    "mirror1": ((1, 2), (3, 6), (4, 5), (8, 9), (10, 12)),
+    "mirror2": ((1, 4), (2, 3), (5, 6), (7, 8), (11, 12)),
+    "mirror3": ((1, 6), (2, 5), (3, 4), (7, 9), (10, 11)),
+    # grouped order (chain 1,3,5 then 2,4): reversal swaps ends, fixes center
+    "parity": ((0, 2), (3, 4)),
+}
+
+
 def test_lattice_operator_tokens():
     m = model.honeycomb_flake(1.0, 0.5)
     S = model.lattice_operator(m, "sublattice")
     assert_array_equal(np.diag(S), [1] * 7 + [-1] * 6)
     mc = model.mirror_chain(0.1)
-    P = model.lattice_operator(mc, "parity")
-    assert_array_equal(P @ P, np.eye(5))
-    with pytest.raises(ValueError):
-        model.lattice_operator(mc, "mirror1")
+    for token, swaps in _SWAPS.items():
+        host = mc if token == "parity" else m
+        expected = np.eye(host.n_sites, dtype=complex)
+        for a, b in swaps:
+            expected[[a, b]] = expected[[b, a]]
+        P = model.lattice_operator(host, token)
+        assert P.dtype == complex
+        assert P.tobytes() == expected.tobytes()
     with pytest.raises(ValueError):
         model.lattice_operator(mc, "spin")
+
+
+@pytest.mark.parametrize("token, host, message", [
+    ("parity", "flake", r"parity acts on 5 sites; model 'honeycomb_flake' has 13"),
+    ("mirror1", "chain", r"mirror1 acts on 13 sites; model 'mirror_chain' has 5"),
+], ids=["parity-flake", "mirror1-chain"])
+def test_permutation_tokens_refuse_other_site_counts(token, host, message):
+    # the flake's 7 A and 6 B sites once passed for an alternating chain
+    m = (model.honeycomb_flake(1.0, 0.5) if host == "flake"
+         else model.mirror_chain(0.1))
+    with pytest.raises(ValueError, match=message):
+        model.lattice_operator(m, token)
 
 
 def test_readme_library_example_runs():

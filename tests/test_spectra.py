@@ -65,7 +65,7 @@ def test_flake_zero_mode_reported_at_all_couplings():
         assert len(zeros) == 1
 
 
-def test_zero_modes_and_mode_profile_survive_huge_matrices():
+def test_zero_modes_survive_huge_matrices():
     # ||H||_F is now taken on the power-of-two rescaled H; np.linalg.norm
     # was inf here, so every mode counted as "zero"
     m = model.mirror_chain(0.3)
@@ -74,6 +74,12 @@ def test_zero_modes_and_mode_profile_survive_huge_matrices():
     kinds = [z.kind for z in spectra.zero_modes(H)]
     assert kinds.count("zero") == 1
     assert [z.kind for z in spectra.zero_modes(big)] == kinds
+
+
+def test_zero_modes_at_the_float_limit():
+    # ||H||_F overflowed (a RuntimeWarning) before the comparison was
+    # rescaled; no eigenvalue of this H lies near zero or the imaginary axis
+    assert spectra.zero_modes(np.diag([1e308, 1e308, -1e308, -1e308])) == []
 
 
 # --- exceptional points ---------------------------------------------------
@@ -92,6 +98,39 @@ def test_ep_flake_third_order():
     assert rep.parameter == pytest.approx(np.sqrt(2.0), abs=1e-6)
     assert (rep.algebraic, rep.geometric, rep.order) == (3, 1, 3)
     assert abs(rep.value) <= 1e-4
+
+
+_FLAKE = lambda t: model.to_matrix(model.honeycomb_flake(1.0, t))
+
+
+@pytest.mark.parametrize("family, bracket, target, blocks", [
+    # at tau = sqrt(3) - 1 the value 3**(1/4) carries two 2x2 Jordan
+    # blocks; algebraic - geometric + 1 called it a third-order point
+    (_FLAKE, (0.7, 0.76), 1.3160740129524924, (2, 2)),
+    (_FLAKE, (1.2, 1.6), 0j, (3,)),
+    (spectra.jordan2, (-0.1, 0.1), 0j, (2,)),
+    # two 2x2 Jordan families side by side
+    (lambda p: np.kron(np.eye(2), spectra.jordan2(p)), (-0.1, 0.1), 0j,
+     (2, 2)),
+    # a non-defective double eigenvalue next to a simple one
+    (lambda p: np.diag([p, p, 1.0]), (-0.1, 0.1), 0j, (1, 1)),
+], ids=["flake-sqrt3-1", "flake-sqrt2", "jordan2", "two-jordan2",
+        "diagonal-double"])
+def test_ep_blocks(family, bracket, target, blocks):
+    rep = spectra.ep_locate(family, bracket, target=target)
+    assert rep.found
+    assert rep.blocks == blocks
+    assert (rep.algebraic, rep.geometric, rep.order) == (
+        sum(blocks), len(blocks), max(blocks))
+
+
+@pytest.mark.parametrize("k", [-40, -17, 0, 23, 40])
+def test_ep_blocks_are_scale_free(k):
+    target = 1.3160740129524924
+    rep = spectra.ep_locate(lambda t: 2.0**k * _FLAKE(t), (0.7, 0.76),
+                            target=2.0**k * target,
+                            found_tol=2.0**k * spectra.EP_FOUND_TOL)
+    assert rep.found and rep.blocks == (2, 2)
 
 
 def test_ep_none_in_chain_bracket():
@@ -162,6 +201,7 @@ def test_ep_zero_family_counts_every_eigenvalue():
     for rep in (zero, scalar):
         assert rep.found
         assert (rep.algebraic, rep.geometric, rep.order) == (3, 3, 1)
+        assert rep.blocks == (1, 1, 1)
     assert zero.value == 0 and zero.spread == 0.0
     for rep in (zero, scalar, missed):
         assert type(rep.parameter) is float and type(rep.spread) is float
@@ -398,7 +438,7 @@ def test_readme_sweep_table_matches_protocols():
                                      for tag, p in spectra.PROTOCOLS.items()]
 
 
-def test_zero_modes_and_mode_profile_survive_eig_at_2_to_600():
+def test_zero_modes_survive_eig_at_2_to_600():
     # eig's residual norms overflowed at this scale, so zero_modes raised
     # ConvergenceError on a correct decomposition
     m = model.mirror_chain(0.3)
